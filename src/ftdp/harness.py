@@ -38,6 +38,12 @@ CSV_COLUMNS = ("step", "replica_id", "phase", "wall_ms", "healthy_count",
 
 EXIT_FATAL = 4
 
+# Workers run one BLAS thread per rank: the R rank threads and the N replica
+# processes already use every core, and a thread pool per process on top
+# of them makes the ranks fight over the same cores. A value the caller set
+# in its own environment wins.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
 
 def effective_training_time(failure_interval: float, repair_time: float,
                             stall_time: float, num_replicas: int) -> float:
@@ -275,7 +281,10 @@ def _spawn_worker(cfg_path: str, cfg: ScenarioConfig, rid: int, incarnation: int
         cmd += ["--initial-cursor", str(cursors.get(rid, 0))]
         if incarnation == 0:
             cmd += ["--restore-dir", ckpt_dir, "--restore-step", str(step)]
-    proc = subprocess.Popen(cmd, stdout=log_fh, stderr=subprocess.STDOUT)
+    env = dict(os.environ)
+    for var in BLAS_THREAD_VARS:
+        env.setdefault(var, "1")
+    proc = subprocess.Popen(cmd, stdout=log_fh, stderr=subprocess.STDOUT, env=env)
     return _Worker(proc, incarnation)
 
 

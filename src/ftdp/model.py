@@ -10,6 +10,7 @@ while stored state stays bit-deterministic float32.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -96,10 +97,21 @@ def init_optimizer(dims: Dims, beta: float = 0.9) -> OptimizerState:
 
 def task_map(data_seed: int, dims: Dims) -> np.ndarray:
     """The fixed linear map defining the regression task. Same for every
-    replica and batch; this is the signal the replicas jointly learn."""
+    replica and batch; this is the signal the replicas jointly learn.
+
+    Drawn once per (data_seed, dims) and shared, so the result is
+    read-only; every batch of a run multiplies by the same map.
+    """
+    return _task_map(int(data_seed), tuple(int(d) for d in dims))
+
+
+@functools.lru_cache(maxsize=8)
+def _task_map(data_seed: int, dims: Dims) -> np.ndarray:
     din, _, dout = dims
     rng = _generator(data_seed, _TASK_SALT, 0)
-    return (rng.standard_normal((din, dout)) / np.sqrt(din)).astype(np.float32)
+    out = (rng.standard_normal((din, dout)) / np.sqrt(din)).astype(np.float32)
+    out.flags.writeable = False
+    return out
 
 
 def next_batch(data_seed: int, replica_id: int, cursor: int,
@@ -117,7 +129,8 @@ def forward_backward(state: ModelState, batch: Batch) -> tuple[float, np.ndarray
     """Mean-squared-error loss and the full flat gradient.
 
     Internally float64; the returned gradient is float32 so downstream
-    reduction and optimizer arithmetic are bit-reproducible.
+    reduction and optimizer arithmetic are bit-reproducible. Each float64
+    block is rounded straight into its layout() slot of the flat vector.
     """
     x = batch.inputs.astype(np.float64)
     t = batch.targets.astype(np.float64)
@@ -139,8 +152,10 @@ def forward_backward(state: ModelState, batch: Batch) -> tuple[float, np.ndarray
     dw1 = x.T @ dpre
     db1 = dpre.sum(axis=0)
 
-    grad = np.concatenate([dw1.ravel(), db1.ravel(), dw2.ravel(), db2.ravel()])
-    return loss, grad.astype(np.float32)
+    grad = np.empty(param_count(state.dims), dtype=np.float32)
+    for (_name, off, _shape), block in zip(layout(state.dims), (dw1, db1, dw2, db2)):
+        grad[off:off + block.size] = block.reshape(-1)
+    return loss, grad
 
 
 def optimizer_step(state: ModelState, opt: OptimizerState, grad: np.ndarray,
@@ -196,6 +211,6 @@ def hash_state(params: np.ndarray, momentum: np.ndarray, step: int) -> str:
     """Order-stable digest of replicated state."""
     h = hashlib.sha256()
     h.update(step.to_bytes(8, "little"))
-    h.update(np.ascontiguousarray(params, dtype=np.float32).tobytes())
-    h.update(np.ascontiguousarray(momentum, dtype=np.float32).tobytes())
+    h.update(np.ascontiguousarray(params, dtype=np.float32))
+    h.update(np.ascontiguousarray(momentum, dtype=np.float32))
     return h.hexdigest()

@@ -648,7 +648,10 @@ class _RankWorker:
                                    self.momentum_shard.tobytes())
                 if self.rank == 0:
                     rt.record_hash(target, self.params_full, momentum_full)
-            if advanced and rt.rid == 0 and target % rt.cfg.checkpoint_interval == 0:
+            # The lowest healthy replica (this step's chair) writes the
+            # checkpoint, so an interval is not lost while any replica is down.
+            if (role == "healthy" and rt.rid == min(decision.healthy)
+                    and target % rt.cfg.checkpoint_interval == 0):
                 checkpoint.write_shard(rt.ckpt_dir, target, self.rank,
                                        self.params_full[self.off:self.off + self.len].tobytes(),
                                        self.momentum_shard.tobytes())

@@ -7,7 +7,7 @@ differences of the loss, written before the backward pass was trusted.
 import numpy as np
 import pytest
 
-from ftdp import model
+from ftdp import harness, model
 from ftdp.errors import InvariantViolation
 
 DIMS = (4, 8, 2)
@@ -48,6 +48,74 @@ def test_task_map_shared_across_replicas():
     m2 = model.task_map(77, DIMS)
     assert np.array_equal(m1, m2)
     assert m1.shape == (4, 2)
+
+
+def test_task_map_cache_is_exact_and_read_only():
+    uncached = model._task_map.__wrapped__(77, DIMS)
+    model._task_map.cache_clear()
+    first = model.task_map(77, list(DIMS))  # the draw that fills the cache
+    again = model.task_map(77, DIMS)
+    assert again is first
+    assert first.tobytes() == uncached.tobytes()
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
+    assert model.task_map(78, DIMS).tobytes() != first.tobytes()
+
+
+def _concatenated_grad(state, batch):
+    """forward_backward's gradient built the original way: concatenate the
+    float64 blocks, then round the whole vector to float32."""
+    x = batch.inputs.astype(np.float64)
+    t = batch.targets.astype(np.float64)
+    w1, b1, w2, b2 = (state.view(n).astype(np.float64) for n in ("w1", "b1", "w2", "b2"))
+    h = np.tanh(x @ w1 + b1)
+    r = h @ w2 + b2 - t
+    dy = (2.0 / r.size) * r
+    dpre = (dy @ w2.T) * (1.0 - h * h)
+    blocks = [x.T @ dpre, dpre.sum(axis=0), h.T @ dy, dy.sum(axis=0)]
+    return np.concatenate([b.ravel() for b in blocks]).astype(np.float32)
+
+
+@pytest.mark.parametrize("dims", [DIMS, (64, 96, 48)])
+def test_gradient_bits_match_concatenated_reference(dims):
+    for trial in range(3):
+        st = model.init_model(dims, 11 + trial)
+        st.params += np.float32(0.01)  # non-zero biases
+        batch = model.next_batch(5, trial, 2 * trial, 7, dims)
+        _, grad = model.forward_backward(st, batch)
+        want = _concatenated_grad(st, batch)
+        assert grad.dtype == np.float32 and grad.shape == want.shape
+        assert np.array_equal(grad.view(np.uint32), want.view(np.uint32))
+
+
+def _spawned_env(monkeypatch, tmp_path):
+    """Environment _spawn_worker hands to the worker process."""
+    seen = {}
+
+    class FakePopen:
+        def __init__(self, cmd, **kwargs):
+            seen.update(kwargs["env"])
+
+    monkeypatch.setattr(harness.subprocess, "Popen", FakePopen)
+    harness._spawn_worker("scenario.json", None, 0, 0, str(tmp_path), 1, None,
+                          None, "warning")
+    return seen
+
+
+def test_spawned_workers_run_one_blas_thread(monkeypatch, tmp_path):
+    for var in harness.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    env = _spawned_env(monkeypatch, tmp_path)
+    assert env["OPENBLAS_NUM_THREADS"] == "1"
+    assert env["OMP_NUM_THREADS"] == "1"
+
+
+def test_spawned_workers_keep_callers_blas_threads(monkeypatch, tmp_path):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    env = _spawned_env(monkeypatch, tmp_path)
+    assert env["OPENBLAS_NUM_THREADS"] == "3"
+    assert env["OMP_NUM_THREADS"] == "2"
 
 
 def test_zero_everything_gives_zero_loss_and_grad():

@@ -469,6 +469,52 @@ def test_restore_continues_bitwise_identically(tmp_path):
         assert tail[step] == full[step], f"resumed run diverged at step {step}"
 
 
+def test_checkpoints_continue_while_replica_zero_is_down(tmp_path):
+    """Replica 0 is down for steps 3-7 (it catches up at 8), across the
+    checkpoints at 4 and 6; the lowest healthy replica writes those."""
+    from ftdp.checkpoint import find_latest, manifest_path, restore_cursors
+
+    def scenario(failures):
+        cfg = quick_scenario(num_replicas=3, ranks=2, total_steps=10, interval=2,
+                             failures=failures)
+        # A resumed run's first step also builds the ring. A survivor that
+        # spends it waiting on the dying chair's links must still make the
+        # next round, or it is demoted and the healthy counts differ.
+        cfg.timeouts.quorum_round_s = 6.0
+        return cfg
+
+    cfg = scenario([kill_failure(3, 5, (0,))])
+    dir_a = str(tmp_path / "full")
+    cluster = Cluster(cfg, dir_a)
+    assert cluster.run(timeout_s=60) == {0: 0, 1: 0, 2: 0}
+    cluster.validate_ledger()
+    full = assert_replicas_agree(dir_a)
+    rows = read_metrics(dir_a)
+    h = {r["step"]: r["healthy_count"] for r in rows
+         if r["replica_id"] == 1 and r["phase"] == "commit"}
+    assert [h[s] for s in range(1, 11)] == [3, 3, 2, 2, 2, 2, 2, 2, 3, 3]
+    ckpt_dir = os.path.join(dir_a, "checkpoints")
+    for step in (2, 4, 6, 8, 10):
+        assert os.path.exists(manifest_path(ckpt_dir, step)), f"no checkpoint at {step}"
+    assert find_latest(ckpt_dir)[0] == 10
+
+    # Resume from step 4, written during the outage. Replica 0 dies again on
+    # the first step it attempts and catches up at 8, so the healthy counts,
+    # and with them the learning rate and the gradient scale, match the
+    # uninterrupted run.
+    cursors = restore_cursors(os.path.join(dir_a, "ledger.txt"), 4, 3)
+    assert cursors == {0: 4, 1: 8, 2: 8}
+    resumed_cfg = scenario([kill_failure(5, 3, (0,))])
+    dir_b = str(tmp_path / "resumed")
+    resumed = Cluster(resumed_cfg, dir_b, restore=(ckpt_dir, 4, cursors))
+    assert resumed.run(timeout_s=60) == {0: 0, 1: 0, 2: 0}
+    resumed.validate_ledger()
+    tail = assert_replicas_agree(dir_b)
+    assert sorted(tail) == list(range(5, 11))
+    for step in range(5, 11):
+        assert tail[step] == full[step], f"resumed run diverged at step {step}"
+
+
 def test_metrics_rows_have_exact_schema(tmp_path):
     cfg = quick_scenario(num_replicas=2, ranks=1, total_steps=3)
     cluster = Cluster(cfg, str(tmp_path))
