@@ -115,17 +115,23 @@ def _handle_fetch(conn: transport.Connection, store: SnapshotStore) -> None:
 
 
 def fetch_shard(addr: transport.PeerAddress, step: int, rank: int,
-                replica_id: int, incarnation: int,
+                replica_id: int, incarnation: int, shard_len: int,
                 timeout_s: float = transport.DEFAULT_TIMEOUT_S,
                 plan: transport.FaultPlan | None = None) -> tuple[bytes, bytes]:
-    """Pull (params, momentum) for one rank's shard of a committed step."""
+    """Pull (params, momentum) for one rank's shard of a committed step.
+
+    shard_len is the shard's length in float32 elements; a response frame
+    longer than such a shard needs is Fatal before it is buffered.
+    """
     conn = transport.connect(addr, wire.HELLO_FETCH,
                              (replica_id, rank, incarnation, 0),
                              deadline_s=timeout_s, plan=plan)
     try:
         conn.send_frame(wire.FETCH_STATE_REQ, step, 0,
                         wire.encode_fetch_req(step, rank), timeout=timeout_s)
-        frame = conn.recv_frame(timeout=timeout_s)
+        body_len = _FETCH_BODY.size + 2 * 4 * shard_len  # params and momentum, float32
+        frame = conn.recv_frame(timeout=timeout_s,
+                                max_len=wire.fetch_resp_frame_len(body_len))
         if frame.msg_type != wire.FETCH_STATE_RESP:
             raise Fatal(PROTOCOL_VIOLATION, f"expected FETCH_STATE_RESP, got {frame.name}")
         got_step, got_rank, body = wire.decode_fetch_resp(frame.payload)

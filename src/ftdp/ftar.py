@@ -259,22 +259,24 @@ class _Sender(threading.Thread):
                     while self._unacked:
                         self._await_ack()
                     return
-                part_idx, ring_step, chunk_idx, payload = item
+                part_idx, ring_step, chunk_idx, data = item
                 while len(self._unacked) >= self.cfg.max_in_flight:
                     self._await_ack()
-                body = wire.encode_chunk(self.generation, part_idx, ring_step, chunk_idx, payload)
-                self.conn.send_frame(wire.CHUNK_DATA, self.step, self._seq, body,
-                                     timeout=self.cfg.per_chunk_timeout_s)
+                head = wire.encode_chunk_header(self.generation, part_idx, ring_step,
+                                                chunk_idx, len(data))
+                self.conn.send_frame(wire.CHUNK_DATA, self.step, self._seq, data,
+                                     timeout=self.cfg.per_chunk_timeout_s, head=head)
                 self._seq += 1
-                self.meter.sent(len(payload))
-                self._unacked.append((part_idx, ring_step, chunk_idx, len(payload)))
+                self.meter.sent(len(data))
+                self._unacked.append((part_idx, ring_step, chunk_idx, len(data)))
         except FtdpError as exc:
             self.error = exc
         except Exception as exc:  # pragma: no cover - unexpected
             self.error = Fatal(INTERNAL_INVARIANT, f"sender crashed: {exc!r}")
 
     def _await_ack(self) -> None:
-        frame = self.conn.recv_frame(timeout=self.cfg.per_chunk_timeout_s)
+        frame = self.conn.recv_frame(timeout=self.cfg.per_chunk_timeout_s,
+                                     max_len=wire.CHUNK_ACK_LEN)
         if frame.msg_type != wire.CHUNK_ACK:
             raise Fatal(PROTOCOL_VIOLATION, f"expected CHUNK_ACK, got {frame.name}")
         gen, part_idx, ring_step, chunk_idx, ln = wire.decode_chunk_ack(frame.payload)
@@ -333,15 +335,17 @@ def _reduce_partition(group: RingGroup, buf: np.ndarray, part_idx: int,
     segs = segment_bounds(p_len, n)
     # Staging copy: the caller's region is rewritten only on completion.
     work = buf[p_off:p_off + p_len].copy()
+    # Reduce-scatter chunks land here, one at a time, to be folded into work.
+    scratch = memoryview(bytearray(min(cfg.chunk_elems, segs[0][1]) * ELEM))
     sender = _Sender(group.right, cfg, group.generation, step, group.meter)
     sender.start()
     try:
         for t in range(n - 1):
-            _ring_step(group, sender, work, segs, part_idx,
+            _ring_step(group, sender, work, scratch, segs, part_idx,
                        ring_step=t, send_seg=(me - t) % n,
                        recv_seg=(me - t - 1) % n, reduce=True, cfg=cfg)
         for t in range(n - 1):
-            _ring_step(group, sender, work, segs, part_idx,
+            _ring_step(group, sender, work, scratch, segs, part_idx,
                        ring_step=(n - 1) + t, send_seg=(me - t + 1) % n,
                        recv_seg=(me - t) % n, reduce=False, cfg=cfg)
         sender.finish()
@@ -353,46 +357,48 @@ def _reduce_partition(group: RingGroup, buf: np.ndarray, part_idx: int,
     buf[p_off:p_off + p_len] = work
 
 
-def _ring_step(group: RingGroup, sender: _Sender, work: np.ndarray,
+def _ring_step(group: RingGroup, sender: _Sender, work: np.ndarray, scratch: memoryview,
                segs: list[tuple[int, int]], part_idx: int, ring_step: int,
                send_seg: int, recv_seg: int, reduce: bool, cfg: PipelineConfig) -> None:
     if sender.error is not None:
         raise sender.error
+    # The sender reads its chunks straight out of work, after this call has
+    # moved on. That is safe because a segment is overwritten only by an
+    # all-gather chunk, which comes from the left neighbor and can exist only
+    # after this rank's earlier send of the same segment reached the right
+    # neighbor in full: the reduction that produced it had to add that data.
+    # Reduce-scatter only adds into segments this rank has not sent yet.
+    raw = memoryview(work).cast("B")
     s_off, s_len = segs[send_seg]
     for chunk_idx, c_off, c_len in iter_chunks(s_len, cfg.chunk_elems):
-        payload = work[s_off + c_off:s_off + c_off + c_len].tobytes()
-        sender.q.put((part_idx, ring_step, chunk_idx, payload))
+        lo = (s_off + c_off) * ELEM
+        sender.q.put((part_idx, ring_step, chunk_idx, raw[lo:lo + c_len * ELEM]))
     r_off, r_len = segs[recv_seg]
     for chunk_idx, c_off, c_len in iter_chunks(r_len, cfg.chunk_elems):
-        data = _recv_chunk(group, part_idx, ring_step, chunk_idx, c_len, cfg)
-        view = work[r_off + c_off:r_off + c_off + c_len]
+        lo = r_off + c_off
         if reduce:
-            kernels.accumulate(view, data)
+            data = scratch[:c_len * ELEM]
+            _recv_chunk(group, part_idx, ring_step, chunk_idx, data, cfg)
+            kernels.accumulate(work[lo:lo + c_len], data)
         else:
-            kernels.copy_into(view, data)
-        ack = wire.encode_chunk_ack(group.generation, part_idx, ring_step, chunk_idx, len(data))
+            _recv_chunk(group, part_idx, ring_step, chunk_idx,
+                        raw[lo * ELEM:(lo + c_len) * ELEM], cfg)
+        ack = wire.encode_chunk_header(group.generation, part_idx, ring_step, chunk_idx, c_len * ELEM)
         group.left.send_frame(wire.CHUNK_ACK, sender.step, 0, ack,
                               timeout=cfg.per_chunk_timeout_s)
 
 
-def _recv_chunk(group: RingGroup, part_idx: int, ring_step: int,
-                chunk_idx: int, expect_elems: int, cfg: PipelineConfig) -> bytes:
-    """Next in-generation chunk from the left neighbor. Stale-generation
-    frames are dropped without disturbing the current operation."""
+def _recv_chunk(group: RingGroup, part_idx: int, ring_step: int, chunk_idx: int,
+                dest: memoryview, cfg: PipelineConfig) -> None:
+    """Next in-generation chunk from the left neighbor, written into dest.
+    Stale-generation frames are dropped without disturbing the current
+    operation."""
     deadline = time.monotonic() + cfg.per_chunk_timeout_s
     while True:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             raise Recoverable(TIMEOUT, f"chunk ({part_idx},{ring_step},{chunk_idx}) never arrived")
-        frame = group.left.recv_frame(timeout=remaining)
-        if frame.msg_type != wire.CHUNK_DATA:
-            raise Fatal(PROTOCOL_VIOLATION, f"expected CHUNK_DATA, got {frame.name}")
-        gen, p, r, c, data = wire.decode_chunk(frame.payload)
-        if gen != group.generation:
-            log.debug("dropping chunk from generation %d (current %d)", gen, group.generation)
-            continue
-        if (p, r, c) != (part_idx, ring_step, chunk_idx) or len(data) != expect_elems * ELEM:
-            raise Fatal(PROTOCOL_VIOLATION,
-                        f"chunk out of sequence: got {(p, r, c, len(data))}, "
-                        f"want {(part_idx, ring_step, chunk_idx, expect_elems * ELEM)}")
-        return data
+        if group.left.recv_chunk_into(dest, group.generation, (part_idx, ring_step, chunk_idx),
+                                      cfg.chunk_bytes, remaining):
+            return
+        log.debug("dropping a chunk of an older generation (current %d)", group.generation)

@@ -355,22 +355,23 @@ class ControlPlane:
 
     def _chair_round(self, decision: Decision, vote: bool, on_commit) -> bool:
         target = decision.target_step
-        ok = vote
+        others = [rid for rid in decision.healthy if rid != self.rid]
+        # A no vote of the chair's own, or a member that never dialed in,
+        # settles the round: no PREPARE goes out and every member hears
+        # RETRY at once. A member takes a RETRY in place of PREPARE as the
+        # outcome, so no PREPARED is left behind on the star.
+        ok = vote and all(rid in self.members for rid in others)
         voters = []
-        for rid in decision.healthy:
-            if rid == self.rid:
-                continue
-            conn = self.members.get(rid)
-            if conn is None:
-                ok = False
-                continue
-            try:
-                conn.send_frame(wire.PREPARE, target, 0,
-                                wire.encode_2pc(target, self.incarnation, 1),
-                                timeout=self.timeout_s)
-                voters.append((rid, conn))
-            except FtdpError:
-                ok = False
+        if ok:
+            for rid in others:
+                conn = self.members[rid]
+                try:
+                    conn.send_frame(wire.PREPARE, target, 0,
+                                    wire.encode_2pc(target, self.incarnation, 1),
+                                    timeout=self.timeout_s)
+                    voters.append((rid, conn))
+                except FtdpError:
+                    ok = False
         for rid, conn in voters:
             try:
                 frame = conn.recv_frame(timeout=self.timeout_s)
@@ -471,7 +472,7 @@ class _RankWorker:
                 donor = checkpoint.pick_donor(healthy, rt.rid, self.rank, attempt)
                 addr = rt.book.lookup(donor, self.rank)
                 p, m = checkpoint.fetch_shard(
-                    addr, want_step, self.rank, rt.rid, rt.incarnation,
+                    addr, want_step, self.rank, rt.rid, rt.incarnation, self.len,
                     timeout_s=rt.cfg.timeouts.fetch_s, plan=rt.plan)
             except (FtdpError, checkpoint.SnapshotUnavailable) as exc:
                 log.debug("replica %d rank %d: fetch attempt %d failed: %s",

@@ -188,26 +188,50 @@ class Connection:
     # -- framed IO ----------------------------------------------------------
 
     def send_frame(self, msg_type: int, step: int = 0, seq: int = 0,
-                   payload: bytes = b"", timeout: float = DEFAULT_TIMEOUT_S) -> None:
+                   payload: bytes = b"", timeout: float = DEFAULT_TIMEOUT_S,
+                   head: bytes = b"") -> None:
+        """Send one frame whose payload is head followed by payload.
+
+        payload may be any buffer whose len() counts bytes, such as a byte
+        memoryview of an array: it is written from where it lies, after the
+        frame header and head, in one sendmsg and without a copy.
+        """
         if self.closed:
             raise Recoverable(PEER_RESET, "connection closed")
-        data = wire.encode_frame(msg_type, step, seq, payload)
+        data = wire.encode_frame_head(msg_type, step, seq, len(head) + len(payload)) + head
         if self._apply_send_faults():
             return  # black hole: swallow silently, peer sees nothing
         try:
             self.sock.settimeout(timeout)
-            self.sock.sendall(data)
-            self.bytes_sent += len(data)
+            deadline = time.monotonic() + timeout
+            sent = self.sock.sendmsg((data, payload))
+            total = len(data) + len(payload)
+            if sent < total:
+                self._send_rest(data, payload, sent, deadline)
+            self.bytes_sent += total
         except socket.timeout as exc:
             raise Recoverable(TIMEOUT, f"send to {self.peer}: {exc}") from exc
-        except (BrokenPipeError, ConnectionResetError, ConnectionAbortedError) as exc:
-            self.close()
-            raise Recoverable(PEER_RESET, f"send to {self.peer}: {exc}") from exc
         except OSError as exc:
             self.close()
             raise Recoverable(PEER_RESET, f"send to {self.peer}: {exc}") from exc
 
-    def recv_frame(self, timeout: float = DEFAULT_TIMEOUT_S) -> wire.Frame:
+    def _send_rest(self, first: bytes, second, sent: int, deadline: float) -> None:
+        """Finish sending first then second after a full socket buffer cut
+        their sendmsg short at sent bytes."""
+        for part in (first, second):
+            if sent < len(part):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise socket.timeout("timed out")
+                self.sock.settimeout(remaining)
+                self.sock.sendall(memoryview(part)[sent:])
+            sent = max(0, sent - len(part))
+
+    def recv_frame(self, timeout: float = DEFAULT_TIMEOUT_S,
+                   max_len: int = wire.MAX_FRAME_LEN) -> wire.Frame:
+        """Next whole frame. max_len is the largest frame, counted after its
+        length prefix, that the caller expects; a longer one is Fatal before
+        any of it is buffered beyond the length prefix."""
         if self.closed:
             raise Recoverable(PEER_RESET, "connection closed")
         deadline = time.monotonic() + timeout
@@ -222,7 +246,7 @@ class Connection:
         while True:
             if len(buf) >= 4:
                 (total,) = wire._LEN.unpack_from(buf)
-                if total < wire.HEADER_LEN or total > wire.MAX_FRAME_LEN:
+                if total < wire.HEADER_LEN or total > max_len:
                     raise Fatal(PROTOCOL_VIOLATION, f"bad frame length {total}")
                 if len(buf) >= 4 + total:
                     frame = wire.decode_frame(bytes(buf[4:4 + total]))
@@ -231,25 +255,99 @@ class Connection:
                     return frame
             self._fill(deadline)
 
+    def recv_chunk_into(self, dest, generation: int, want: tuple[int, int, int],
+                        max_len: int, timeout: float = DEFAULT_TIMEOUT_S) -> bool:
+        """Receive one CHUNK_DATA frame's data straight into dest.
+
+        want is the (partition, ring_step, chunk) expected next and
+        len(dest) its data length in bytes; dest is a writable buffer whose
+        len() counts bytes, such as a byte memoryview of an array. The
+        header is checked before any data byte is read: another message
+        type, data longer than max_len, or a chunk of this generation other
+        than the one wanted is Fatal. A chunk of another generation, a
+        straggler from an abandoned attempt, has its data read and dropped,
+        and the call returns False.
+
+        A timeout before the whole header is in leaves the stream intact,
+        as in recv_frame. Once the header is consumed, an error or timeout
+        closes the connection: the rest of the frame may still arrive, and
+        nothing could find the next frame boundary after it.
+        """
+        if self.closed:
+            raise Recoverable(PEER_RESET, "connection closed")
+        deadline = time.monotonic() + timeout
+        if self._apply_recv_faults(deadline):
+            time.sleep(timeout)
+            raise Recoverable(TIMEOUT, f"recv from {self.peer}: black-holed")
+        buf = self._rxbuf
+        head_len = wire.CHUNK_FRAME.size
+        # A frame of another type, or one too short to hold a chunk header,
+        # may end before 41 bytes, so it is judged as soon as its length
+        # prefix and type are in.
+        while len(buf) < head_len and (len(buf) < 5 or (
+                buf[4] == wire.CHUNK_DATA and wire._LEN.unpack_from(buf)[0] >= head_len - 4)):
+            self._fill(deadline)
+        if buf[4] != wire.CHUNK_DATA:
+            name = wire.TAG_NAMES.get(buf[4], f"0x{buf[4]:02x}")
+            raise Fatal(PROTOCOL_VIOLATION, f"expected CHUNK_DATA, got {name}")
+        if len(buf) < head_len:
+            raise Fatal(PROTOCOL_VIOLATION,
+                        f"short CHUNK_DATA frame of length {wire._LEN.unpack_from(buf)[0]}")
+        total, _t, _step, _seq, gen, part, ring_step, chunk, n = wire.CHUNK_FRAME.unpack_from(buf)
+        if total != head_len - 4 + n or n > max_len:
+            raise Fatal(PROTOCOL_VIOLATION,
+                        f"bad CHUNK_DATA length {total} (data {n}, at most {max_len})")
+        current = gen == generation
+        if current and ((part, ring_step, chunk) != want or n != len(dest)):
+            raise Fatal(PROTOCOL_VIOLATION,
+                        f"chunk out of sequence: got {(part, ring_step, chunk, n)}, "
+                        f"want {want + (len(dest),)}")
+        del buf[:head_len]
+        try:
+            self._read_data(dest if current else None, n, deadline)
+        except Recoverable:
+            self.close()
+            raise
+        self.bytes_received += head_len + n
+        return current
+
+    def _read_data(self, dest, n: int, deadline: float) -> None:
+        """The next n bytes of the stream into dest, or dropped when dest is
+        None. Bytes already buffered are taken first; the rest go from the
+        socket straight into dest."""
+        buf = self._rxbuf
+        have = min(len(buf), n)
+        if have:
+            if dest is not None:
+                dest[:have] = buf[:have]
+            del buf[:have]
+        pos = have
+        while pos < n:
+            if dest is None:
+                pos += self._recv_into(memoryview(self._scratch)[:n - pos], deadline)
+            else:
+                pos += self._recv_into(dest[pos:], deadline)
+
     def _fill(self, deadline: float) -> None:
+        k = self._recv_into(self._scratch, deadline)
+        self._rxbuf += memoryview(self._scratch)[:k]
+
+    def _recv_into(self, target, deadline: float) -> int:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             raise Recoverable(TIMEOUT, f"recv from {self.peer}: timed out")
         try:
             self.sock.settimeout(remaining)
-            k = self.sock.recv_into(self._scratch)
+            k = self.sock.recv_into(target)
         except socket.timeout as exc:
             raise Recoverable(TIMEOUT, f"recv from {self.peer}: {exc}") from exc
-        except (ConnectionResetError, ConnectionAbortedError) as exc:
-            self.close()
-            raise Recoverable(PEER_RESET, f"recv from {self.peer}: {exc}") from exc
         except OSError as exc:
             self.close()
             raise Recoverable(PEER_RESET, f"recv from {self.peer}: {exc}") from exc
         if k == 0:
             self.close()
             raise Recoverable(PEER_RESET, f"recv from {self.peer}: peer closed")
-        self._rxbuf += memoryview(self._scratch)[:k]
+        return k
 
     def close(self) -> None:
         self.closed = True

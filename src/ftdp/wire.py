@@ -65,8 +65,13 @@ _HEADER = struct.Struct("<BQQ")  # msg_type, step, seq
 _LEN = struct.Struct("<I")
 HEADER_LEN = _HEADER.size  # 17
 
-# Generous ceiling: the naive ring baseline ships whole segments in one
-# frame, up to 512 MiB at the largest benchmark size.
+# Ceiling on every frame, and the bound recv_frame applies when its caller
+# cannot tell how large the next frame may be (control traffic). Data-link
+# readers pass tighter bounds from their own state: ring chunk data at most
+# chunk_bytes, a CHUNK_ACK its fixed CHUNK_ACK_LEN, a fetch response the
+# size of the shard asked for. The ceiling itself must admit the naive ring
+# baseline, which ships whole segments in one frame (up to 512 MiB at the
+# largest benchmark size).
 MAX_FRAME_LEN = (1 << 30) + 1024
 
 
@@ -83,10 +88,18 @@ class Frame:
 
 
 def encode_frame(msg_type: int, step: int, seq: int, payload: bytes = b"") -> bytes:
-    total = HEADER_LEN + len(payload)
+    """A whole frame as one bytes object: the reference for the bytes
+    Connection.send_frame writes from its parts."""
+    return encode_frame_head(msg_type, step, seq, len(payload)) + payload
+
+
+def encode_frame_head(msg_type: int, step: int, seq: int, payload_len: int) -> bytes:
+    """Length prefix and header of a frame whose payload_len payload bytes
+    are sent separately."""
+    total = HEADER_LEN + payload_len
     if total > MAX_FRAME_LEN:
         raise Fatal(PROTOCOL_VIOLATION, f"frame too large: {total}")
-    return _LEN.pack(total) + _HEADER.pack(msg_type, step, seq) + payload
+    return _LEN.pack(total) + _HEADER.pack(msg_type, step, seq)
 
 
 def decode_frame(body: bytes) -> Frame:
@@ -104,10 +117,26 @@ def decode_frame(body: bytes) -> Frame:
 # framing above is orthogonal.
 
 _CHUNK_HDR = struct.Struct("<IIIII")  # generation, partition, ring_step, chunk, data_len
+CHUNK_ACK_LEN = HEADER_LEN + _CHUNK_HDR.size  # a CHUNK_ACK frame after its length prefix
+
+# A CHUNK_DATA frame's length prefix, frame header and chunk header as one
+# struct (41 bytes), so the ring's receiving side parses all three with one
+# call before it reads the chunk data straight into place.
+CHUNK_FRAME = struct.Struct("<I" + _HEADER.format[1:] + _CHUNK_HDR.format[1:])
+
+
+def encode_chunk_header(generation: int, partition_idx: int, ring_step: int, chunk_idx: int,
+                        data_len: int) -> bytes:
+    """The 20-byte chunk header: the start of a CHUNK_DATA payload, which
+    data_len bytes of data follow, and the whole of a CHUNK_ACK payload,
+    which acknowledges them."""
+    return _CHUNK_HDR.pack(generation, partition_idx, ring_step, chunk_idx, data_len)
 
 
 def encode_chunk(generation: int, partition_idx: int, ring_step: int, chunk_idx: int, data: bytes) -> bytes:
-    return _CHUNK_HDR.pack(generation, partition_idx, ring_step, chunk_idx, len(data)) + data
+    """Reference codec of a CHUNK_DATA payload. The ring sends the same
+    bytes as the chunk header followed by the data from its array."""
+    return encode_chunk_header(generation, partition_idx, ring_step, chunk_idx, len(data)) + data
 
 
 def decode_chunk(payload: bytes) -> tuple[int, int, int, int, bytes]:
@@ -118,10 +147,6 @@ def decode_chunk(payload: bytes) -> tuple[int, int, int, int, bytes]:
     if len(data) != data_len:
         raise Fatal(PROTOCOL_VIOLATION, f"chunk data_len {data_len} != {len(data)}")
     return generation, partition_idx, ring_step, chunk_idx, data
-
-
-def encode_chunk_ack(generation: int, partition_idx: int, ring_step: int, chunk_idx: int, data_len: int) -> bytes:
-    return _CHUNK_HDR.pack(generation, partition_idx, ring_step, chunk_idx, data_len)
 
 
 def decode_chunk_ack(payload: bytes) -> tuple[int, int, int, int, int]:
@@ -208,6 +233,12 @@ _FETCH_RESP = struct.Struct("<QII")  # step, rank, data_len
 
 def encode_fetch_resp(step: int, rank: int, data: bytes) -> bytes:
     return _FETCH_RESP.pack(step, rank, len(data)) + data
+
+
+def fetch_resp_frame_len(data_len: int) -> int:
+    """Length after its prefix of a FETCH_STATE_RESP frame carrying data_len
+    bytes of data."""
+    return HEADER_LEN + _FETCH_RESP.size + data_len
 
 
 def decode_fetch_resp(payload: bytes) -> tuple[int, int, bytes]:

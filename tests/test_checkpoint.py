@@ -2,12 +2,14 @@
 
 import json
 import os
+import struct
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from ftdp import checkpoint, errors, transport
+from ftdp import checkpoint, errors, transport, wire
 from ftdp.checkpoint import (
     LoaderLedger,
     SnapshotStore,
@@ -51,11 +53,11 @@ def test_fetch_roundtrip_over_sockets():
     server.start()
     addr = transport.PeerAddress(0, 0, "127.0.0.1", listener.port)
     try:
-        got_p, got_m = fetch_shard(addr, 7, rank=0, replica_id=3, incarnation=1)
+        got_p, got_m = fetch_shard(addr, 7, rank=0, replica_id=3, incarnation=1, shard_len=10)
         assert got_p == params and got_m == momentum
 
         with pytest.raises(SnapshotUnavailable) as ei:
-            fetch_shard(addr, 6, rank=0, replica_id=3, incarnation=1)
+            fetch_shard(addr, 6, rank=0, replica_id=3, incarnation=1, shard_len=10)
         assert ei.value.available == 7  # donor moved on; catch up next step
     finally:
         stop.set()
@@ -73,7 +75,7 @@ def test_fetch_from_empty_store_reports_nothing_available():
     addr = transport.PeerAddress(0, 0, "127.0.0.1", listener.port)
     try:
         with pytest.raises(SnapshotUnavailable) as ei:
-            fetch_shard(addr, 1, rank=2, replica_id=1, incarnation=1)
+            fetch_shard(addr, 1, rank=2, replica_id=1, incarnation=1, shard_len=10)
         assert ei.value.available is None
     finally:
         stop.set()
@@ -86,7 +88,7 @@ def test_fetch_from_dead_donor_is_recoverable():
     listener.close()
     addr = transport.PeerAddress(0, 0, "127.0.0.1", port)
     with pytest.raises(errors.Recoverable):
-        fetch_shard(addr, 1, rank=0, replica_id=1, incarnation=1, timeout_s=0.4)
+        fetch_shard(addr, 1, rank=0, replica_id=1, incarnation=1, shard_len=10, timeout_s=0.4)
 
 
 def test_pick_donor_spreads_ranks_and_rotates_on_retry():
@@ -223,3 +225,29 @@ def test_restore_cursors_cut_at_checkpoint_step(tmp_path):
     assert cur[0] == 10
     assert cur[1] == 8  # replica 1 missed step 4; 4 commits by step 5
     assert cur[2] == 0  # never wrote a line
+
+
+def test_fetch_rejects_oversized_response_at_once():
+    """A donor whose response claims more than the shard asked for is Fatal
+    as soon as the length prefix arrives, not after the fetch deadline."""
+    listener = transport.Listener()
+    router = transport.ConnectionRouter(listener).start()
+    addr = transport.PeerAddress(0, 0, "127.0.0.1", listener.port)
+
+    def rogue_donor():
+        _hello, conn = router.take(wire.HELLO_FETCH, timeout=5.0)
+        conn.recv_frame(timeout=5.0)
+        conn.sock.sendall(struct.pack("<I", 512 * 1024 * 1024))
+
+    donor = threading.Thread(target=rogue_donor, daemon=True)
+    donor.start()
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(errors.Fatal) as ei:
+            fetch_shard(addr, 1, rank=0, replica_id=1, incarnation=1, shard_len=10,
+                        timeout_s=4.0)
+        assert ei.value.reason == errors.PROTOCOL_VIOLATION
+        assert time.monotonic() - t0 < 2.0
+    finally:
+        donor.join(timeout=5.0)
+        router.stop()

@@ -8,6 +8,8 @@ partition/segment geometry from the config on its own; geometry-specific
 guarantees (size cap, balance) are pinned separately in the plan tests.
 """
 
+import socket
+import struct
 import threading
 import time
 
@@ -365,7 +367,7 @@ def test_stale_generation_frames_are_dropped():
         ring.reconfig()  # gen 2 current; craft gen-1 stragglers
         stale_chunk = wire.encode_chunk(1, 0, 0, 0, b"\x00" * 8)
         ring.groups[1].right.send_frame(wire.CHUNK_DATA, 0, 0, stale_chunk)
-        stale_ack = wire.encode_chunk_ack(1, 0, 0, 0, 8)
+        stale_ack = wire.encode_chunk_header(1, 0, 0, 0, 8)
         ring.groups[0].left.send_frame(wire.CHUNK_ACK, 0, 0, stale_ack)
         cfg = ftar.PipelineConfig(chunk_bytes=16, max_in_flight=2, per_chunk_timeout_s=5.0)
         arrays = [np.full(10, float(i + 1), dtype=np.float32) for i in range(2)]
@@ -442,5 +444,109 @@ def test_rejects_wrong_dtype():
         with pytest.raises(errors.Fatal):
             ftar.ftar_all_reduce(ring.groups[0], np.ones(4, dtype=np.float64), 1,
                                  ftar.PipelineConfig())
+    finally:
+        ring.close()
+
+
+# ---------------------------------------------------------------- data plane
+
+
+def _socket_pair():
+    a, b = socket.socketpair()
+    return transport.Connection(a), transport.Connection(b)
+
+
+def _read_exactly(conn, n, timeout=5.0):
+    conn.sock.settimeout(timeout)
+    out = bytearray()
+    while len(out) < n:
+        got = conn.sock.recv(n - len(out))
+        assert got, "stream ended early"
+        out += got
+    return bytes(out)
+
+
+@pytest.mark.parametrize("nbytes", [400, MIB])
+def test_chunk_send_writes_reference_frame_bytes(nbytes):
+    a, b = _socket_pair()
+    cfg = ftar.PipelineConfig(chunk_bytes=nbytes, max_in_flight=1, per_chunk_timeout_s=5.0)
+    sender = ftar._Sender(a, cfg, generation=6, step=11, meter=ftar.InflightMeter())
+    try:
+        data = np.random.default_rng(nbytes).standard_normal(nbytes // 4).astype(np.float32)
+        sender.start()
+        sender.q.put((2, 3, 4, data.view(np.uint8)))
+        expect = wire.encode_frame(wire.CHUNK_DATA, 11, 0,
+                                   wire.encode_chunk(6, 2, 3, 4, data.tobytes()))
+        assert _read_exactly(b, len(expect)) == expect
+    finally:
+        sender.abort()
+        a.close()
+        b.close()
+
+
+def test_ack_link_rejects_oversized_length_prefix_at_once():
+    a, b = _socket_pair()
+    cfg = ftar.PipelineConfig(chunk_bytes=8, max_in_flight=1, per_chunk_timeout_s=4.0)
+    sender = ftar._Sender(a, cfg, generation=1, step=1, meter=ftar.InflightMeter())
+    try:
+        sender.start()
+        sender.q.put((0, 0, 0, memoryview(bytes(8))))
+        b.sock.sendall(struct.pack("<I", 512 * MIB))
+        t0 = time.monotonic()
+        with pytest.raises(errors.Fatal) as ei:
+            sender.finish()
+        assert ei.value.reason == errors.PROTOCOL_VIOLATION
+        assert time.monotonic() - t0 < 2.0
+    finally:
+        a.close()
+        b.close()
+
+
+def _chunk_head(generation, part, ring_step, chunk, data_len):
+    frame = wire.encode_frame(wire.CHUNK_DATA, 1, 0,
+                              wire.encode_chunk(generation, part, ring_step, chunk,
+                                                bytes(data_len)))
+    return frame[:wire.CHUNK_FRAME.size]
+
+
+@pytest.mark.parametrize("head", [
+    _chunk_head(1, 0, 0, 0, 64 + 4),   # longer than chunk_bytes
+    _chunk_head(1, 0, 0, 0, 12),       # in generation, not the expected length
+    _chunk_head(1, 0, 1, 0, 16),       # in generation, not the expected ring step
+    _chunk_head(0, 0, 0, 0, 64 + 4),   # stale, but longer than chunk_bytes
+    wire.encode_frame(wire.CHUNK_DATA, 1, 0),            # no chunk header at all
+    wire.encode_frame(wire.CHUNK_DATA, 1, 0, bytes(19)),  # a chunk header cut short
+])
+def test_bad_chunk_header_is_fatal_before_its_data(head):
+    """Only the 41-byte header, or a frame too short to hold one, is ever
+    written and the peer stays silent, so the all-reduce can fail at once
+    only by judging the header alone."""
+    ring = Ring(2)
+    try:
+        ring.reconfig()
+        ring.groups[1].right.sock.sendall(head)
+        cfg = ftar.PipelineConfig(chunk_bytes=64, max_in_flight=1, per_chunk_timeout_s=3.0)
+        t0 = time.monotonic()
+        results = ring.all_reduce({0: np.ones(8, dtype=np.float32)}, 1, cfg, [0])
+        assert isinstance(results[0], errors.Fatal)
+        assert results[0].reason == errors.PROTOCOL_VIOLATION
+        assert time.monotonic() - t0 < 1.5
+    finally:
+        ring.close()
+
+
+def test_stale_chunks_of_other_lengths_are_skipped():
+    ring = Ring(2)
+    try:
+        ring.reconfig()
+        ring.reconfig()  # gen 2 current; gen-1 stragglers of other lengths
+        link = ring.groups[1].right
+        for data_len in (12, 16, 4):
+            link.send_frame(wire.CHUNK_DATA, 0, 0,
+                            wire.encode_chunk(1, 0, 0, 0, bytes(range(data_len))))
+        cfg = ftar.PipelineConfig(chunk_bytes=16, max_in_flight=2, per_chunk_timeout_s=5.0)
+        rng = np.random.default_rng(5)
+        arrays = [rng.standard_normal(10).astype(np.float32) for _ in range(2)]
+        run_case(ring, [0, 1], arrays, 1, cfg)
     finally:
         ring.close()

@@ -264,6 +264,26 @@ def test_ctrl_single_no_vote_forces_retry():
         star.close()
 
 
+def test_ctrl_chair_no_vote_retries_without_waiting():
+    star = _Star(timeout_s=2.0)
+    try:
+        d = decision_of((0, 1, 2))
+        star.reconfig(d)
+        elapsed = [None] * 2
+
+        def play(rid):
+            t0 = time.monotonic()
+            out = star.planes[rid].round(d, rid != 0)  # the chair votes no
+            elapsed[rid] = time.monotonic() - t0
+            return out
+
+        outs = run_ranks(2, play)  # member 2 never calls round
+        assert outs == [False, False]
+        assert max(elapsed) < 0.5
+    finally:
+        star.close()
+
+
 def test_ctrl_member_that_never_dialed_costs_a_retry():
     star = _Star(timeout_s=0.5)
     try:

@@ -303,3 +303,56 @@ def test_fault_rule_validation():
         transport.FaultRule("melt", replica_id=0, at_step=1)
     with pytest.raises(ConfigError):
         transport.FaultRule("delay", replica_id=0, at_step=1, latency_multiplier=0.5)
+
+
+def test_chunk_data_lands_in_place_and_stream_continues():
+    a, b, router = make_pair()
+    try:
+        data = bytes(range(256)) * 4096  # 1 MiB, most of it read straight into dest
+        a.send_frame(wire.CHUNK_DATA, 1, 0, wire.encode_chunk(3, 0, 1, 2, data))
+        a.send_frame(wire.HEARTBEAT, step=9)
+        dest = bytearray(len(data))
+        assert b.recv_chunk_into(memoryview(dest), 3, (0, 1, 2), len(data), timeout=5.0)
+        assert dest == data
+        assert b.recv_frame(timeout=1.0).step == 9
+    finally:
+        a.close()
+        b.close()
+        router.stop()
+
+
+def test_recv_timeout_inside_chunk_data_closes_connection():
+    a, b, router = make_pair()
+    try:
+        frame = wire.encode_frame(wire.CHUNK_DATA, 1, 0, wire.encode_chunk(3, 0, 0, 0, bytes(64)))
+        a.sock.sendall(frame[:wire.CHUNK_FRAME.size + 10])  # header and 10 data bytes
+        with pytest.raises(Recoverable) as ei:
+            b.recv_chunk_into(memoryview(bytearray(64)), 3, (0, 0, 0), 64, timeout=0.2)
+        assert ei.value.reason == TIMEOUT
+        assert b.closed  # the stream is mid-frame; it must never be read again
+        with pytest.raises(Recoverable) as ei:
+            b.recv_frame(timeout=0.2)
+        assert ei.value.reason == PEER_RESET
+    finally:
+        a.close()
+        b.close()
+        router.stop()
+
+
+def test_recv_timeout_inside_chunk_header_keeps_stream_intact():
+    a, b, router = make_pair()
+    try:
+        frame = wire.encode_frame(wire.CHUNK_DATA, 1, 0, wire.encode_chunk(3, 0, 0, 0, b"abcd"))
+        a.sock.sendall(frame[:30])
+        with pytest.raises(Recoverable) as ei:
+            b.recv_chunk_into(memoryview(bytearray(4)), 3, (0, 0, 0), 4, timeout=0.2)
+        assert ei.value.reason == TIMEOUT
+        assert not b.closed
+        a.sock.sendall(frame[30:])
+        dest = bytearray(4)
+        assert b.recv_chunk_into(memoryview(dest), 3, (0, 0, 0), 4, timeout=1.0)
+        assert dest == b"abcd"
+    finally:
+        a.close()
+        b.close()
+        router.stop()

@@ -48,7 +48,7 @@ def test_chunk_payload_roundtrip():
     data = b"\x00\x01\x02\x03" * 5
     payload = wire.encode_chunk(3, 1, 4, 2, data)
     assert wire.decode_chunk(payload) == (3, 1, 4, 2, data)
-    ack = wire.encode_chunk_ack(3, 1, 4, 2, len(data))
+    ack = wire.encode_chunk_header(3, 1, 4, 2, len(data))
     assert wire.decode_chunk_ack(ack) == (3, 1, 4, 2, len(data))
 
 
