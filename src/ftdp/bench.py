@@ -1,11 +1,8 @@
-"""Microbenchmarks.
+"""Ring all-reduce microbenchmark.
 
-Two comparisons, both over the real code paths:
-
-* ring all-reduce with chunk pipelining vs. a single-message baseline
-  (same engine, chunk size = whole segment, window of one), across group
-  sizes and message sizes, over loopback sockets;
-* the compiled reduce/copy kernels vs. the numpy fallback.
+Chunk pipelining against a single-message baseline (same engine, chunk
+size = whole segment, window of one), across group sizes and message
+sizes, over loopback sockets and the real code path.
 
 Loopback has no propagation delay, so pipelining gains here are from
 overlapping send/reduce/recv work, not from hiding latency; the point of
@@ -20,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ftdp import ftar, kernels, transport
+from ftdp import ftar, transport
 
 MIB = 1024 * 1024
 
@@ -134,39 +131,4 @@ def bench_ftar(group_sizes=(2, 4), sizes_mib=(4, 16), reps: int = 3,
                     progress(row)
         finally:
             ring.close()
-    return rows
-
-
-# ------------------------------------------------------------ kernels
-
-
-@dataclass
-class KernelRow:
-    backend: str
-    op: str
-    mibps: float
-
-
-def format_kernel_table(rows: list[KernelRow]) -> str:
-    lines = [f"{'backend':>9} {'op':>11} {'MiB/s':>10}"]
-    for r in rows:
-        lines.append(f"{r.backend:>9} {r.op:>11} {r.mibps:>10.1f}")
-    return "\n".join(lines)
-
-
-def bench_kernels(size_mib: float = 64.0, reps: int = 5) -> list[KernelRow]:
-    """Throughput of accumulate/copy_into per available backend."""
-    elems = int(size_mib * MIB) // 4
-    rng = np.random.default_rng(7)
-    src = rng.standard_normal(elems).astype(np.float32).tobytes()
-    rows = []
-    for name, (acc, copy) in sorted(kernels.backends().items()):
-        for op, fn in (("accumulate", acc), ("copy_into", copy)):
-            dst = np.zeros(elems, dtype=np.float32)
-            best = float("inf")
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                fn(dst, src)
-                best = min(best, time.perf_counter() - t0)
-            rows.append(KernelRow(name, op, size_mib / best))
     return rows

@@ -97,10 +97,11 @@ def serve_fetches(router: transport.ConnectionRouter, store: SnapshotStore,
 
 def _handle_fetch(conn: transport.Connection, store: SnapshotStore) -> None:
     try:
-        frame = conn.recv_frame(timeout=transport.DEFAULT_TIMEOUT_S)
+        frame = conn.recv_frame(timeout=transport.DEFAULT_TIMEOUT_S,
+                                max_len=wire.FETCH_REQ_LEN)
         if frame.msg_type != wire.FETCH_STATE_REQ:
             return
-        step, rank, _off, _hint = wire.decode_fetch_req(frame.payload)
+        step, rank = wire.decode_fetch_req(frame.payload)
         try:
             params, momentum = store.get(step)
             body = _FETCH_BODY.pack(len(params), len(momentum)) + params + momentum

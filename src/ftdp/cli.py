@@ -7,7 +7,6 @@ Subcommands:
   calc-eff F Rp s N    closed-form effective-training-time fraction
   emulate-quorum <n>   synthetic load on the quorum engine; latency stats
   bench-ftar           chunked vs single-message ring all-reduce grid
-  bench-kernels        compiled vs fallback reduce-kernel throughput
 
 Exit codes: 0 success, 2 bad arguments or config, 3 invariant violation,
 4 runtime failure (including a diverged compare).
@@ -79,11 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bf.add_argument("--reps", type=int, default=3)
     p_bf.add_argument("--chunk-mib", type=float, default=1.0)
     p_bf.add_argument("--max-in-flight", type=int, default=4)
-
-    p_bk = sub.add_parser("bench-kernels",
-                          help="reduce-kernel backend comparison")
-    p_bk.add_argument("--size-mib", type=float, default=64.0)
-    p_bk.add_argument("--reps", type=int, default=5)
     return parser
 
 
@@ -177,21 +171,12 @@ def _cmd_bench_ftar(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench_kernels(args) -> int:
-    from ftdp import bench
-
-    print(bench.format_kernel_table(
-        bench.bench_kernels(size_mib=args.size_mib, reps=args.reps)))
-    return EXIT_OK
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "compare": _cmd_compare,
     "calc-eff": _cmd_calc_eff,
     "emulate-quorum": _cmd_emulate,
     "bench-ftar": _cmd_bench_ftar,
-    "bench-kernels": _cmd_bench_kernels,
 }
 
 

@@ -25,8 +25,6 @@ FATAL_REASONS = frozenset({PROTOCOL_VIOLATION, NUMERICAL, INTERNAL_INVARIANT})
 class FtdpError(Exception):
     """Base class; carries a reason tag from the fixed taxonomy."""
 
-    severity = "fatal"
-
     def __init__(self, reason: str, detail: str = ""):
         self.reason = reason
         self.detail = detail
@@ -34,8 +32,6 @@ class FtdpError(Exception):
 
 
 class Recoverable(FtdpError):
-    severity = "recoverable"
-
     def __init__(self, reason: str, detail: str = ""):
         if reason not in RECOVERABLE_REASONS:
             raise ValueError(f"not a recoverable reason: {reason}")
@@ -43,8 +39,6 @@ class Recoverable(FtdpError):
 
 
 class Fatal(FtdpError):
-    severity = "fatal"
-
     def __init__(self, reason: str, detail: str = ""):
         if reason not in FATAL_REASONS:
             raise ValueError(f"not a fatal reason: {reason}")

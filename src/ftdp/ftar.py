@@ -125,19 +125,6 @@ def iter_chunks(seg_len: int, chunk_elems: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def classify_error(err: BaseException) -> str:
-    """Severity of a failure during a collective: 'recoverable' or 'fatal'.
-
-    Lost peers, resets, and timeouts are survivable by regrouping; protocol
-    garbage, poisoned numerics, and broken invariants are not.
-    """
-    if isinstance(err, FtdpError):
-        return err.severity
-    if isinstance(err, (TimeoutError, ConnectionError, BrokenPipeError, OSError)):
-        return "recoverable"
-    return "fatal"
-
-
 class InflightMeter:
     """Tracks unacknowledged bytes on the send link; the tests assert the
     window never exceeds chunk_bytes * max_in_flight."""

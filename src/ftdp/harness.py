@@ -226,12 +226,6 @@ class RunReport:
     respawns: int
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def final_hash(self) -> str | None:
-        if not self.sampled_hashes:
-            return None
-        return self.sampled_hashes[max(self.sampled_hashes)]
-
     def format(self) -> str:
         lines = [
             f"scenario: {self.scenario}",

@@ -1,56 +1,24 @@
-"""Reduce/copy kernels with backend selection at import.
+"""Reduce/copy kernels of the ring's data plane, in numpy.
 
-The compiled extension (`ftdp._ckernels`) is used when present; otherwise
-a numpy fallback with identical semantics. Both add float32 values
-elementwise in order, so results are bit-identical across backends.
-Set FTDP_PURE_PYTHON=1 to force the fallback (used by the kernel benchmark).
+Both treat src as float32 values and work elementwise in order, so a
+reduction gives the same bits on every replica.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _np_accumulate(dst: np.ndarray, src: bytes | bytearray | memoryview) -> None:
+def accumulate(dst: np.ndarray, src: bytes | bytearray | memoryview) -> None:
     view = np.frombuffer(src, dtype=np.float32)
     if view.shape[0] != dst.shape[0]:
         raise ValueError("accumulate: src byte length does not match dst")
     dst += view
 
 
-def _np_copy_into(dst: np.ndarray, src: bytes | bytearray | memoryview) -> None:
+# Nothing in ftdp calls copy_into; perfbench's trace hook wraps it by name.
+def copy_into(dst: np.ndarray, src: bytes | bytearray | memoryview) -> None:
     view = np.frombuffer(src, dtype=np.float32)
     if view.shape[0] != dst.shape[0]:
         raise ValueError("copy_into: src byte length does not match dst")
     dst[:] = view
-
-
-BACKEND = "python"
-accumulate = _np_accumulate
-copy_into = _np_copy_into
-
-if not os.environ.get("FTDP_PURE_PYTHON"):
-    try:
-        from ftdp import _ckernels
-
-        def _c_accumulate(dst: np.ndarray, src) -> None:
-            _ckernels.accumulate(dst, memoryview(src).cast("B"))
-
-        def _c_copy_into(dst: np.ndarray, src) -> None:
-            _ckernels.copy_into(dst, memoryview(src).cast("B"))
-
-        accumulate = _c_accumulate
-        copy_into = _c_copy_into
-        BACKEND = "compiled"
-    except ImportError:
-        pass
-
-
-def backends() -> dict[str, tuple]:
-    """All available backends, for the comparison benchmark."""
-    out = {"python": (_np_accumulate, _np_copy_into)}
-    if BACKEND == "compiled":
-        out["compiled"] = (accumulate, copy_into)
-    return out

@@ -325,7 +325,7 @@ class QuorumCoordinator:
     def _read_loop(self, link: _Link) -> None:
         while self._running and link.alive:
             try:
-                frame = link.conn.recv_frame(timeout=0.5)
+                frame = link.conn.recv_frame(timeout=0.5, max_len=wire.REPORT_LEN)
             except Recoverable as exc:
                 if exc.reason == "timeout":
                     continue

@@ -744,7 +744,7 @@ class ReplicaRuntime:
         self.intra = IntraGroup(self.R)
         self.mortality.register_closer(self.intra.abort)
         rules = [
-            transport.FaultRule("blackhole", rid, f.at_step, f.duration_steps)
+            transport.FaultRule(rid, f.at_step, f.duration_steps)
             for f in cfg.failures if f.kind == "drop_links"
             for rid in f.targets(cfg.topology.num_replicas)
         ]

@@ -6,8 +6,8 @@ timeouts and vanished peers are Recoverable, garbage frames are Fatal.
 A connection is owned by one execution context at a time; concurrent use
 of *different* connections from different threads is fine.
 
-Fault rules model network trouble on inter-replica data links (ring chunks
-and state fetches). Control traffic (quorum reports, intra-replica frames)
+Fault rules black-hole inter-replica data links (ring chunks and state
+fetches). Control traffic (quorum reports, intra-replica frames)
 is exempt: the coordinator link is assumed reliable and intra-replica links
 model a local interconnect, not the network. Rule windows are keyed to the
 logical clock observed from quorum decisions, so runs stay reproducible.
@@ -38,7 +38,6 @@ log = logging.getLogger(__name__)
 DEFAULT_TIMEOUT_S = 5.0
 _RETRY_PAUSE_S = 0.05
 
-FAULT_KINDS = ("drop_connection", "delay", "blackhole")
 # Purposes subject to fault rules (inter-replica data plane).
 _FAULTABLE = {wire.HELLO_RING, wire.HELLO_FETCH}
 
@@ -56,41 +55,23 @@ class PeerAddress:
 
 @dataclass
 class FaultRule:
-    """One injected network fault against a replica's data links.
+    """One injected black hole on a replica's data links: while it is
+    active, sends to or from the replica are swallowed, receives starve
+    until their timeout, and connects stall until their deadline.
 
     The window opens at the first observation of target_step >= at_step and
     lasts duration_steps logical epochs. Epochs advance even when a step is
     being retried, so a rule that itself causes retries still expires.
     """
 
-    kind: str
     replica_id: int
     at_step: int
     duration_steps: int = 1
-    latency_multiplier: float = 1.0
-    base_latency_s: float = 0.001
     activated_epoch: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.kind not in FAULT_KINDS:
-            raise ConfigError(f"unknown fault kind: {self.kind}")
-        if self.latency_multiplier < 1.0:
-            raise ConfigError("latency_multiplier must be >= 1")
         if self.duration_steps < 1:
             raise ConfigError("fault duration_steps must be >= 1")
-
-
-def validate_rules(rules: list[FaultRule]) -> None:
-    """Reject contradictory overlapping rules on the same link."""
-    for i, a in enumerate(rules):
-        for b in rules[i + 1:]:
-            if a.replica_id != b.replica_id or a.kind == b.kind:
-                continue
-            if a.at_step < b.at_step + b.duration_steps and b.at_step < a.at_step + a.duration_steps:
-                raise ConfigError(
-                    f"contradictory fault rules on replica {a.replica_id}: "
-                    f"{a.kind} and {b.kind} overlap at step {max(a.at_step, b.at_step)}"
-                )
 
 
 class FaultPlan:
@@ -103,7 +84,6 @@ class FaultPlan:
 
     def __init__(self, rules: list[FaultRule] | None = None, self_replica: int | None = None):
         self.rules = list(rules or [])
-        validate_rules(self.rules)
         self.self_replica = self_replica
         self.epoch = 0
         self.target = 0
@@ -133,7 +113,7 @@ class FaultPlan:
 
 
 class Connection:
-    """One framed duplex stream. Counters are plain ints (GIL-atomic)."""
+    """One framed duplex stream."""
 
     def __init__(self, sock: socket.socket, peer: PeerAddress | None = None,
                  purpose: int = 0, plan: FaultPlan | None = None):
@@ -141,10 +121,7 @@ class Connection:
         self.peer = peer
         self.purpose = purpose
         self.plan = plan
-        self.bytes_sent = 0
-        self.bytes_received = 0
         self.closed = False
-        self._dropped: set[int] = set()
         self._rxbuf = bytearray()
         self._scratch = bytearray(65536)
         try:
@@ -154,36 +131,12 @@ class Connection:
 
     # -- fault shim ---------------------------------------------------------
 
-    def _active_faults(self) -> list[FaultRule]:
+    def _black_holed(self) -> bool:
+        """True while a fault rule covers this data link."""
         if self.plan is None or self.purpose not in _FAULTABLE:
-            return []
+            return False
         peer_replica = self.peer.replica_id if self.peer else None
-        return self.plan.effects(peer_replica)
-
-    def _apply_send_faults(self) -> bool:
-        """Returns True if the write should be swallowed (blackhole)."""
-        swallowed = False
-        for rule in self._active_faults():
-            if rule.kind == "drop_connection" and id(rule) not in self._dropped:
-                self._dropped.add(id(rule))
-                self.close()
-                raise Recoverable(PEER_RESET, "injected connection drop")
-            if rule.kind == "delay":
-                time.sleep(rule.latency_multiplier * rule.base_latency_s)
-            if rule.kind == "blackhole":
-                swallowed = True
-        return swallowed
-
-    def _apply_recv_faults(self, deadline: float) -> bool:
-        """Returns True if reads are black-holed until the deadline."""
-        for rule in self._active_faults():
-            if rule.kind == "drop_connection" and id(rule) not in self._dropped:
-                self._dropped.add(id(rule))
-                self.close()
-                raise Recoverable(PEER_RESET, "injected connection drop")
-            if rule.kind == "blackhole":
-                return True
-        return False
+        return bool(self.plan.effects(peer_replica))
 
     # -- framed IO ----------------------------------------------------------
 
@@ -199,8 +152,8 @@ class Connection:
         if self.closed:
             raise Recoverable(PEER_RESET, "connection closed")
         data = wire.encode_frame_head(msg_type, step, seq, len(head) + len(payload)) + head
-        if self._apply_send_faults():
-            return  # black hole: swallow silently, peer sees nothing
+        if self._black_holed():
+            return  # swallow silently, peer sees nothing
         try:
             self.sock.settimeout(timeout)
             deadline = time.monotonic() + timeout
@@ -208,7 +161,6 @@ class Connection:
             total = len(data) + len(payload)
             if sent < total:
                 self._send_rest(data, payload, sent, deadline)
-            self.bytes_sent += total
         except socket.timeout as exc:
             raise Recoverable(TIMEOUT, f"send to {self.peer}: {exc}") from exc
         except OSError as exc:
@@ -235,7 +187,7 @@ class Connection:
         if self.closed:
             raise Recoverable(PEER_RESET, "connection closed")
         deadline = time.monotonic() + timeout
-        if self._apply_recv_faults(deadline):
+        if self._black_holed():
             time.sleep(timeout)
             raise Recoverable(TIMEOUT, f"recv from {self.peer}: black-holed")
         # Consumed bytes are parked in _rxbuf and only removed once a whole
@@ -251,7 +203,6 @@ class Connection:
                 if len(buf) >= 4 + total:
                     frame = wire.decode_frame(bytes(buf[4:4 + total]))
                     del buf[:4 + total]
-                    self.bytes_received += 4 + total
                     return frame
             self._fill(deadline)
 
@@ -276,7 +227,7 @@ class Connection:
         if self.closed:
             raise Recoverable(PEER_RESET, "connection closed")
         deadline = time.monotonic() + timeout
-        if self._apply_recv_faults(deadline):
+        if self._black_holed():
             time.sleep(timeout)
             raise Recoverable(TIMEOUT, f"recv from {self.peer}: black-holed")
         buf = self._rxbuf
@@ -308,7 +259,6 @@ class Connection:
         except Recoverable:
             self.close()
             raise
-        self.bytes_received += head_len + n
         return current
 
     def _read_data(self, dest, n: int, deadline: float) -> None:
@@ -365,13 +315,9 @@ def connect(addr: PeerAddress, purpose: int, hello_args: tuple[int, int, int, in
     hello_args = (replica_id, rank_id, incarnation, aux) of the dialer.
     """
     deadline = time.monotonic() + deadline_s
-    if plan is not None and purpose in _FAULTABLE:
-        for rule in plan.effects(addr.replica_id):
-            if rule.kind == "blackhole":
-                time.sleep(max(0.0, deadline - time.monotonic()))
-                raise Recoverable(PEER_DOWN, f"connect to {addr}: black-holed")
-            if rule.kind == "delay":
-                time.sleep(rule.latency_multiplier * rule.base_latency_s)
+    if plan is not None and purpose in _FAULTABLE and plan.effects(addr.replica_id):
+        time.sleep(max(0.0, deadline - time.monotonic()))
+        raise Recoverable(PEER_DOWN, f"connect to {addr}: black-holed")
     last_exc: Exception | None = None
     while True:
         remaining = deadline - time.monotonic()
@@ -459,7 +405,7 @@ class ConnectionRouter:
     def _greet(self, sock: socket.socket) -> None:
         conn = Connection(sock)
         try:
-            frame = conn.recv_frame(timeout=DEFAULT_TIMEOUT_S)
+            frame = conn.recv_frame(timeout=DEFAULT_TIMEOUT_S, max_len=wire.HELLO_LEN)
             if frame.msg_type != wire.HEARTBEAT:
                 raise Fatal(PROTOCOL_VIOLATION, f"expected hello, got {frame.name}")
             hello = Hello(*wire.decode_hello(frame.payload))

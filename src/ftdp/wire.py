@@ -68,10 +68,11 @@ HEADER_LEN = _HEADER.size  # 17
 # Ceiling on every frame, and the bound recv_frame applies when its caller
 # cannot tell how large the next frame may be (control traffic). Data-link
 # readers pass tighter bounds from their own state: ring chunk data at most
-# chunk_bytes, a CHUNK_ACK its fixed CHUNK_ACK_LEN, a fetch response the
-# size of the shard asked for. The ceiling itself must admit the naive ring
-# baseline, which ships whole segments in one frame (up to 512 MiB at the
-# largest benchmark size).
+# chunk_bytes, a fetch response the size of the shard asked for. A reader of
+# a fixed-size frame (a CHUNK_ACK, a hello, a QUORUM_REPORT, a
+# FETCH_STATE_REQ) passes its exact length, one of the *_LEN constants
+# below. The ceiling itself must admit the naive ring baseline, which ships
+# whole segments in one frame (up to 512 MiB at the largest benchmark size).
 MAX_FRAME_LEN = (1 << 30) + 1024
 
 
@@ -156,6 +157,7 @@ def decode_chunk_ack(payload: bytes) -> tuple[int, int, int, int, int]:
 
 
 _REPORT = struct.Struct("<QQII")  # epoch, next_step, replica_id, incarnation
+REPORT_LEN = HEADER_LEN + _REPORT.size  # a QUORUM_REPORT frame after its length prefix
 
 
 def encode_report(epoch: int, next_step: int, replica_id: int, incarnation: int) -> bytes:
@@ -215,14 +217,15 @@ def decode_2pc(payload: bytes) -> tuple[int, int, int]:
     return _TPC.unpack(payload)
 
 
-_FETCH_REQ = struct.Struct("<QIII")  # step, rank, shard_offset, shard_len_hint
+_FETCH_REQ = struct.Struct("<QI")  # step, rank
+FETCH_REQ_LEN = HEADER_LEN + _FETCH_REQ.size  # a FETCH_STATE_REQ frame after its length prefix
 
 
-def encode_fetch_req(step: int, rank: int, shard_offset: int = 0, shard_len_hint: int = 0) -> bytes:
-    return _FETCH_REQ.pack(step, rank, shard_offset, shard_len_hint)
+def encode_fetch_req(step: int, rank: int) -> bytes:
+    return _FETCH_REQ.pack(step, rank)
 
 
-def decode_fetch_req(payload: bytes) -> tuple[int, int, int, int]:
+def decode_fetch_req(payload: bytes) -> tuple[int, int]:
     if len(payload) != _FETCH_REQ.size:
         raise Fatal(PROTOCOL_VIOLATION, "bad FETCH_STATE_REQ payload")
     return _FETCH_REQ.unpack(payload)
@@ -254,12 +257,12 @@ def decode_fetch_resp(payload: bytes) -> tuple[int, int, bytes]:
 # Connection hello, carried in a HEARTBEAT payload. Purposes route inbound
 # connections on a rank's single listener.
 HELLO_RING = 1
-HELLO_INTRA = 2
 HELLO_CTRL = 3
 HELLO_FETCH = 4
 HELLO_QUORUM = 5
 
 _HELLO = struct.Struct("<BIIIQ")  # purpose, replica_id, rank_id, incarnation, aux
+HELLO_LEN = HEADER_LEN + _HELLO.size  # a hello's HEARTBEAT frame after its length prefix
 
 
 def encode_hello(purpose: int, replica_id: int, rank_id: int, incarnation: int, aux: int = 0) -> bytes:

@@ -251,3 +251,27 @@ def test_fetch_rejects_oversized_response_at_once():
     finally:
         donor.join(timeout=5.0)
         router.stop()
+
+
+def test_fetch_server_drops_oversized_request_at_once():
+    """A requester whose request claims more than a FETCH_STATE_REQ's length
+    is dropped as soon as the length prefix arrives, not after the server's
+    read deadline."""
+    listener = transport.Listener()
+    router = transport.ConnectionRouter(listener).start()
+    stop = threading.Event()
+    threading.Thread(target=checkpoint.serve_fetches,
+                     args=(router, SnapshotStore(), stop), daemon=True).start()
+    addr = transport.PeerAddress(0, 0, "127.0.0.1", listener.port)
+    conn = transport.connect(addr, wire.HELLO_FETCH, (1, 0, 1, 0))
+    try:
+        conn.sock.sendall(struct.pack("<I", 512 * 1024 * 1024))
+        t0 = time.monotonic()
+        with pytest.raises(errors.Recoverable) as ei:
+            conn.recv_frame(timeout=4.0)
+        assert ei.value.reason == errors.PEER_RESET
+        assert time.monotonic() - t0 < 2.0
+    finally:
+        conn.close()
+        stop.set()
+        router.stop()

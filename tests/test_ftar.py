@@ -101,14 +101,6 @@ def test_iter_chunks_cover_segment():
     assert ftar.iter_chunks(3, 8) == [(0, 0, 3)]
 
 
-def test_classify_error():
-    assert ftar.classify_error(errors.Recoverable(errors.TIMEOUT)) == "recoverable"
-    assert ftar.classify_error(errors.Fatal(errors.NUMERICAL)) == "fatal"
-    assert ftar.classify_error(TimeoutError()) == "recoverable"
-    assert ftar.classify_error(ConnectionResetError()) == "recoverable"
-    assert ftar.classify_error(ValueError("x")) == "fatal"
-
-
 # ---------------------------------------------------------------- harness
 
 class Ring:

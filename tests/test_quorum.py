@@ -1,5 +1,6 @@
 """Decision engine and coordinator service tests."""
 
+import struct
 import threading
 import time
 
@@ -218,6 +219,25 @@ def test_coordinator_fences_stale_incarnation_connection():
         new.close()
         old.close()
     finally:
+        coord.stop()
+
+
+def test_coordinator_drops_oversized_report_at_once():
+    """A replica whose report claims more than a QUORUM_REPORT's length loses
+    its link as soon as the length prefix arrives; without the bound the
+    coordinator would wait for the claimed bytes for as long as the link
+    lives."""
+    coord, addr = start_coordinator(round_deadline_s=0.3, join_wait_s=1.0)
+    conn = transport.connect(addr, wire.HELLO_QUORUM, (0, 0, 1, 0))
+    try:
+        conn.sock.sendall(struct.pack("<I", 512 * 1024 * 1024))
+        t0 = time.monotonic()
+        with pytest.raises(errors.Recoverable) as ei:
+            conn.recv_frame(timeout=4.0)
+        assert ei.value.reason == errors.PEER_RESET
+        assert time.monotonic() - t0 < 2.0
+    finally:
+        conn.close()
         coord.stop()
 
 

@@ -1,5 +1,7 @@
 """Transport tests: framing over real sockets, timeouts, fault shim."""
 
+import socket
+import struct
 import threading
 import time
 
@@ -192,6 +194,24 @@ def test_router_discard_closes_stale():
     router.stop()
 
 
+def test_router_drops_oversized_hello_at_once():
+    """A dialer whose hello claims more than a hello's length is dropped as
+    soon as the length prefix arrives, not after the greeting deadline."""
+    listener = transport.Listener()
+    router = transport.ConnectionRouter(listener).start()
+    conn = transport.Connection(socket.create_connection(("127.0.0.1", listener.port)))
+    try:
+        conn.sock.sendall(struct.pack("<I", 512 * 1024 * 1024))
+        t0 = time.monotonic()
+        with pytest.raises(Recoverable) as ei:
+            conn.recv_frame(timeout=4.0)
+        assert ei.value.reason == PEER_RESET
+        assert time.monotonic() - t0 < 2.0
+    finally:
+        conn.close()
+        router.stop()
+
+
 # -- fault shim -------------------------------------------------------------
 
 def active_plan(rule, self_replica=0):
@@ -200,25 +220,8 @@ def active_plan(rule, self_replica=0):
     return plan
 
 
-def test_delay_rule_adds_latency():
-    rule = transport.FaultRule("delay", replica_id=0, at_step=1, duration_steps=5,
-                               latency_multiplier=30.0)
-    plan = transport.FaultPlan([rule], self_replica=0)
-    a, b, router = make_pair(plan=plan)
-    plan.observe(target_step=1, epoch=10)  # window opens after setup
-    try:
-        t0 = time.monotonic()
-        a.send_frame(wire.CHUNK_DATA, payload=b"x")
-        assert time.monotonic() - t0 >= 0.030  # 30x the 1ms base, one way
-        assert b.recv_frame(timeout=2.0).payload == b"x"
-    finally:
-        a.close()
-        b.close()
-        router.stop()
-
-
 def test_blackhole_swallows_sends_and_starves_recv():
-    rule = transport.FaultRule("blackhole", replica_id=0, at_step=1)
+    rule = transport.FaultRule(replica_id=0, at_step=1)
     plan = transport.FaultPlan([rule], self_replica=0)
     a, b, router = make_pair(plan=plan)
     plan.observe(target_step=1, epoch=10)
@@ -234,7 +237,7 @@ def test_blackhole_swallows_sends_and_starves_recv():
 
 
 def test_blackhole_stalls_connect_to_peer_down():
-    rule = transport.FaultRule("blackhole", replica_id=5, at_step=1)
+    rule = transport.FaultRule(replica_id=5, at_step=1)
     plan = active_plan(rule, self_replica=1)
     listener = transport.Listener()
     addr = transport.PeerAddress(5, 0, "127.0.0.1", listener.port)
@@ -244,24 +247,8 @@ def test_blackhole_stalls_connect_to_peer_down():
     listener.close()
 
 
-def test_drop_connection_fires_once_per_connection():
-    rule = transport.FaultRule("drop_connection", replica_id=0, at_step=1)
-    plan = transport.FaultPlan([rule], self_replica=0)
-    a, b, router = make_pair(plan=plan)
-    plan.observe(target_step=1, epoch=10)
-    try:
-        with pytest.raises(Recoverable) as ei:
-            a.send_frame(wire.CHUNK_DATA, payload=b"x")
-        assert ei.value.reason == PEER_RESET
-        assert a.closed
-    finally:
-        a.close()
-        b.close()
-        router.stop()
-
-
 def test_rules_expire_after_duration_epochs():
-    rule = transport.FaultRule("blackhole", replica_id=0, at_step=5, duration_steps=2)
+    rule = transport.FaultRule(replica_id=0, at_step=5, duration_steps=2)
     plan = transport.FaultPlan([rule], self_replica=0)
     plan.observe(target_step=4, epoch=3)
     assert plan.effects(0) == []          # window not entered
@@ -274,7 +261,7 @@ def test_rules_expire_after_duration_epochs():
 
 
 def test_control_plane_exempt_from_faults():
-    rule = transport.FaultRule("blackhole", replica_id=0, at_step=1)
+    rule = transport.FaultRule(replica_id=0, at_step=1)
     plan = active_plan(rule)
     a, b, router = make_pair(plan=plan, purpose=wire.HELLO_CTRL)
     try:
@@ -286,23 +273,9 @@ def test_control_plane_exempt_from_faults():
         router.stop()
 
 
-def test_contradictory_overlapping_rules_rejected():
-    rules = [
-        transport.FaultRule("blackhole", replica_id=1, at_step=10, duration_steps=5),
-        transport.FaultRule("delay", replica_id=1, at_step=12, duration_steps=5),
-    ]
-    with pytest.raises(ConfigError):
-        transport.validate_rules(rules)
-    # same kind overlapping is allowed, distinct replicas are allowed
-    transport.validate_rules([rules[0],
-                              transport.FaultRule("delay", replica_id=2, at_step=12)])
-
-
 def test_fault_rule_validation():
     with pytest.raises(ConfigError):
-        transport.FaultRule("melt", replica_id=0, at_step=1)
-    with pytest.raises(ConfigError):
-        transport.FaultRule("delay", replica_id=0, at_step=1, latency_multiplier=0.5)
+        transport.FaultRule(replica_id=0, at_step=1, duration_steps=0)
 
 
 def test_chunk_data_lands_in_place_and_stream_continues():

@@ -81,8 +81,10 @@ def test_2pc_payload_roundtrip():
 
 
 def test_fetch_payloads_roundtrip():
-    req = wire.encode_fetch_req(99, 1, 0, 4096)
-    assert wire.decode_fetch_req(req) == (99, 1, 0, 4096)
+    req = wire.encode_fetch_req(99, 1)
+    assert wire.decode_fetch_req(req) == (99, 1)
+    with pytest.raises(Fatal):
+        wire.decode_fetch_req(req + bytes(8))  # the old four-field request
     resp = wire.encode_fetch_resp(99, 1, b"shardbytes")
     assert wire.decode_fetch_resp(resp) == (99, 1, b"shardbytes")
 
