@@ -3,11 +3,11 @@
 Three cooperating pieces:
 
 * In-memory snapshots, retention exactly one: at every commit (and once at
-  startup for the initial state) each rank keeps its shard of the latest
-  committed step so a lagging replica can fetch state peer-to-peer while
-  the rest of the group keeps training. A fetch that arrives after the
-  group moved on is answered with what is available; the fetcher treats
-  the mismatch as "catch up next step" rather than an error.
+  startup) each rank records the step and views of its live shard, so a
+  lagging replica can fetch state peer-to-peer while the group trains on.
+  A fetch copies the shard with no lock held. One that overlaps the rank's
+  update, or arrives after the group moved on, is answered with what is
+  available; the fetcher treats it as "catch up next step", not an error.
 
 * Persistent checkpoints, written by one replica at an interval: each rank
   writes its shard to a temp file and renames it into place, and the
@@ -54,30 +54,44 @@ class SnapshotUnavailable(Exception):
 
 
 class SnapshotStore:
-    """Latest committed shard for this rank; capture replaces the previous."""
+    """Latest committed shard for this rank, as views of the live shard that
+    its owner invalidates before writing in place; capture replaces both."""
 
     def __init__(self):
         self._lock = threading.Lock()
+        self._version = 0
         self._step: int | None = None
-        self._params = b""
-        self._momentum = b""
+        self._parts = (memoryview(b""), memoryview(b""))
 
-    def capture(self, step: int, params: bytes, momentum: bytes) -> None:
+    def invalidate(self) -> None:
         with self._lock:
+            self._version += 1
+            self._step = None
+
+    def capture(self, step: int, params, momentum) -> None:
+        with self._lock:
+            self._version += 1
             self._step = step
-            self._params = bytes(params)
-            self._momentum = bytes(momentum)
+            self._parts = (memoryview(params).cast("B"), memoryview(momentum).cast("B"))
 
     @property
     def step(self) -> int | None:
         with self._lock:
             return self._step
 
-    def get(self, step: int) -> tuple[bytes, bytes]:
+    def get(self, step: int) -> tuple[memoryview, memoryview]:
+        """A copy of step's (params, momentum) bytes, kept only if no write
+        began meanwhile: views of one buffer, params.obj, holding a fetch body."""
         with self._lock:
-            if self._step != step:
+            if self._step is None or self._step != step:
                 raise SnapshotUnavailable(self._step)
-            return self._params, self._momentum
+            version, (params, momentum) = self._version, self._parts
+        head = _FETCH_BODY.pack(len(params), len(momentum))
+        body = memoryview(b"".join((head, params, momentum)))
+        with self._lock:
+            if self._version != version:
+                raise SnapshotUnavailable(self._step)
+        return body[len(head):len(head) + len(params)], body[len(head) + len(params):]
 
 
 def serve_fetches(router: transport.ConnectionRouter, store: SnapshotStore,
@@ -103,12 +117,12 @@ def _handle_fetch(conn: transport.Connection, store: SnapshotStore) -> None:
             return
         step, rank = wire.decode_fetch_req(frame.payload)
         try:
-            params, momentum = store.get(step)
-            body = _FETCH_BODY.pack(len(params), len(momentum)) + params + momentum
-            resp = wire.encode_fetch_resp(step, rank, body)
+            params, _momentum = store.get(step)
+            held, body = step, params.obj
         except SnapshotUnavailable as exc:
-            resp = wire.encode_fetch_resp(exc.available or 0, rank, b"")
-        conn.send_frame(wire.FETCH_STATE_RESP, step, 0, resp)
+            held, body = exc.available or 0, b""
+        conn.send_frame(wire.FETCH_STATE_RESP, step, 0, body,
+                        head=wire.encode_fetch_resp_head(held, rank, len(body)))
     except (Recoverable, Fatal):
         pass
     finally:
@@ -118,8 +132,8 @@ def _handle_fetch(conn: transport.Connection, store: SnapshotStore) -> None:
 def fetch_shard(addr: transport.PeerAddress, step: int, rank: int,
                 replica_id: int, incarnation: int, shard_len: int,
                 timeout_s: float = transport.DEFAULT_TIMEOUT_S,
-                plan: transport.FaultPlan | None = None) -> tuple[bytes, bytes]:
-    """Pull (params, momentum) for one rank's shard of a committed step.
+                plan: transport.FaultPlan | None = None) -> tuple[memoryview, memoryview]:
+    """Pull views of (params, momentum) for one rank's shard of a committed step.
 
     shard_len is the shard's length in float32 elements; a response frame
     longer than such a shard needs is Fatal before it is buffered.
@@ -171,21 +185,22 @@ def manifest_path(ckpt_dir: str, step: int) -> str:
     return os.path.join(ckpt_dir, f"state_{step:08d}.json")
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def _atomic_write(path: str, *parts) -> None:
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(data)
+        fh.writelines(parts)
         fh.flush()
         os.fsync(fh.fileno())
     os.rename(tmp, path)
 
 
-def write_shard(ckpt_dir: str, step: int, rank: int,
-                params: bytes, momentum: bytes) -> str:
+def write_shard(ckpt_dir: str, step: int, rank: int, params, momentum) -> str:
+    """params and momentum are any buffers, such as float32 array views."""
     os.makedirs(ckpt_dir, exist_ok=True)
-    hdr = MAGIC + _SHARD_HDR.pack(VERSION, step, rank, len(params), len(momentum))
+    plen, mlen = memoryview(params).nbytes, memoryview(momentum).nbytes
+    hdr = MAGIC + _SHARD_HDR.pack(VERSION, step, rank, plen, mlen)
     path = shard_path(ckpt_dir, step, rank)
-    _atomic_write(path, hdr + bytes(params) + bytes(momentum))
+    _atomic_write(path, hdr, params, momentum)
     return path
 
 
@@ -273,11 +288,8 @@ def parse_ledger(path: str) -> list[tuple[int, int, int]]:
             blob = fh.read()
     except FileNotFoundError:
         return []
-    lines = blob.split(b"\n")
-    if lines and lines[-1] != b"":
-        lines = lines[:-1]  # torn tail: not yet durable, ignore
-    else:
-        lines = lines[:-1] if lines else lines
+    # After the last newline comes nothing, or a torn tail not yet durable.
+    lines = blob.split(b"\n")[:-1]
     out = []
     for ln, raw in enumerate(lines, 1):
         parts = raw.decode(errors="replace").split(",")

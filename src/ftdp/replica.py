@@ -1,13 +1,13 @@
 """One training replica: rank threads, commit protocol, and catch-up.
 
-A replica hosts ranks_per_replica worker threads in one process. Each rank
-owns a contiguous shard of the flat parameter vector and its momentum. Per
-iteration the leader (rank 0) trades a readiness report for a group decision,
-then every rank walks the same sequence of intra-replica sync points so the
-threads can never deadlock against each other:
+A replica hosts ranks_per_replica worker threads in one process, which holds
+the replica's one copy of its parameters and momentum; each rank updates and
+serves its contiguous shard of both in place. Per iteration the leader (rank
+0) trades a readiness report for a group decision, then every rank walks the
+same sequence of intra-replica sync points so the threads cannot deadlock:
 
     decision broadcast -> link-status exchange -> compute ->
-    reduce status exchange -> outcome broadcast -> (on commit) two gathers
+    reduce status exchange -> outcome broadcast -> (on commit) update barrier
 
 Healthy replicas compute gradients from their own batch cursor, reduce them
 intra-replica, then across same-rank peers on the ring. Lagging replicas join
@@ -203,10 +203,10 @@ class FilePortBook(AddressBook):
 class IntraGroup:
     """Barrier-paired collectives for the rank threads of one replica.
 
-    Every operation is two waits around a shared slot array: publish, sync,
-    read, sync. The second wait keeps a fast rank from clobbering slots of
-    an operation a slow rank is still reading. abort() breaks current and
-    future waits so a dying replica unwinds all its ranks.
+    Every operation but barrier is two waits around a shared slot array:
+    publish, sync, read, sync. The second wait keeps a fast rank from
+    clobbering slots of an operation a slow rank is still reading. abort()
+    breaks current and future waits so a dying replica unwinds all its ranks.
     """
 
     def __init__(self, n_ranks: int):
@@ -222,6 +222,9 @@ class IntraGroup:
 
     def abort(self) -> None:
         self._barrier.abort()
+
+    def barrier(self, rank: int) -> None:
+        self._sync()
 
     def broadcast(self, rank: int, value=None):
         if rank == 0:
@@ -251,6 +254,7 @@ class IntraGroup:
         self._sync()
         return out
 
+    # Nothing in ftdp calls all_gather; perfbench's trace hook wraps it by name.
     def all_gather(self, rank: int, shard: np.ndarray,
                    bounds: list[tuple[int, int]], total: int) -> np.ndarray:
         self._slots[rank] = shard
@@ -436,17 +440,16 @@ class _RankWorker:
     def __init__(self, rt: "ReplicaRuntime", rank: int):
         self.rt = rt
         self.rank = rank
-        off, ln = rt.shard_bounds[rank]
-        self.off, self.len = off, ln
-        self.params_full = rt.init_params.copy()
-        self.momentum_shard = rt.init_momentum[off:off + ln].copy()
+        off, self.len = rt.shard_bounds[rank]
+        self.params_full = rt.params
+        self.params_shard = rt.params[off:off + self.len]
+        self.momentum_shard = rt.momentum[off:off + self.len]
         self.ring = ftar.RingGroup(rt.rid, rank, rt.router, plan=rt.plan,
                                    incarnation=rt.incarnation)
         self.store = checkpoint.SnapshotStore()
         self.loss: float | None = None
         self.fetched: _Fetched | None = None
         self._fetch_thread: threading.Thread | None = None
-        self.wedged = False
 
     # -- catch-up ----------------------------------------------------------
 
@@ -482,9 +485,8 @@ class _RankWorker:
                 log.warning("replica %d rank %d: donor shard size mismatch",
                             rt.rid, self.rank)
                 continue
-            self.fetched = _Fetched(want_step,
-                                    np.frombuffer(p, dtype=np.float32).copy(),
-                                    np.frombuffer(m, dtype=np.float32).copy())
+            self.fetched = _Fetched(want_step, np.frombuffer(p, dtype=np.float32),
+                                    np.frombuffer(m, dtype=np.float32))
             return
 
     def join_fetch(self, want_step: int) -> bool:
@@ -511,7 +513,6 @@ class _RankWorker:
                 rt.fired.add(i)
                 log.info("replica %d rank %d: scripted hang at step %d",
                          rt.rid, self.rank, f.at_step)
-                self.wedged = True
                 while not rt.mortality.dying.wait(0.05):
                     pass  # starve the watchdog; it exits the process
                 raise _Halt()
@@ -614,49 +615,38 @@ class _RankWorker:
                               rt.rid, target, rt.retry_count)
                     rt.mortality.die(EXIT_FATAL)
 
-        if committed:
-            advanced = role == "healthy" or can_install
-            if role != "healthy" and can_install:
-                self.params_full[self.off:self.off + self.len] = self.fetched.params
+        if committed and (role == "healthy" or can_install):
+            self.store.invalidate()  # fetches read the shard in place
+            if role != "healthy":
+                self.params_shard[:] = self.fetched.params
                 self.momentum_shard[:] = self.fetched.momentum
                 self.fetched = None
-            if advanced:
-                h = len(decision.healthy)
-                denom = (h if rt.cfg.tuning.normalize_by == "healthy"
-                         else rt.cfg.topology.num_replicas) * rt.R
-                grad_shard *= np.float32(1.0 / denom)
-                lr = model.compute_lr(rt.lr_policy, target, h,
-                                      rt.cfg.topology.num_replicas)
-                shard_view = self.params_full[self.off:self.off + self.len]
-                model.optimizer_step(
-                    model.ModelState(rt.dims, shard_view, rt.step),
-                    model.OptimizerState(self.momentum_shard, rt.cfg.tuning.momentum_beta),
-                    grad_shard, lr)
-            if self.rank == 0 and advanced:
+            h = len(decision.healthy)
+            denom = (h if rt.cfg.tuning.normalize_by == "healthy"
+                     else rt.cfg.topology.num_replicas) * rt.R
+            grad_shard *= np.float32(1.0 / denom)
+            lr = model.compute_lr(rt.lr_policy, target, h, rt.cfg.topology.num_replicas)
+            model.optimizer_step(
+                model.ModelState(rt.dims, self.params_shard, rt.step),
+                model.OptimizerState(self.momentum_shard, rt.cfg.tuning.momentum_beta),
+                grad_shard, lr)
+            self.store.capture(target, self.params_shard, self.momentum_shard)
+            if self.rank == 0:
                 rt.step = target
                 if role == "healthy":
                     rt.cursor += rt.R
-            # Fixed trace: both gathers run even when this replica stayed
-            # behind (its junk gather is discarded by staying lagging).
-            self.params_full = rt.intra.all_gather(
-                self.rank, self.params_full[self.off:self.off + self.len].copy(),
-                rt.shard_bounds, rt.param_count)
-            momentum_full = rt.intra.all_gather(
-                self.rank, self.momentum_shard.copy(), rt.shard_bounds, rt.param_count)
-            if advanced:
-                self.store.capture(target,
-                                   self.params_full[self.off:self.off + self.len].tobytes(),
-                                   self.momentum_shard.tobytes())
-                if self.rank == 0:
-                    rt.record_hash(target, self.params_full, momentum_full)
+            # Every shard is updated before any rank reads the whole state:
+            # rank 0's hash now, every rank's forward pass next step.
+            rt.intra.barrier(self.rank)
+            if self.rank == 0:
+                rt.record_hash(target)
             # The lowest healthy replica (this step's chair) writes the
             # checkpoint, so an interval is not lost while any replica is down.
             if (role == "healthy" and rt.rid == min(decision.healthy)
                     and target % rt.cfg.checkpoint_interval == 0):
                 checkpoint.write_shard(rt.ckpt_dir, target, self.rank,
-                                       self.params_full[self.off:self.off + self.len].tobytes(),
-                                       self.momentum_shard.tobytes())
-                rt.intra.exchange(self.rank, True)
+                                       self.params_shard, self.momentum_shard)
+                rt.intra.barrier(self.rank)
                 if self.rank == 0:
                     checkpoint.write_manifest(rt.ckpt_dir, target, rt.R, rt.dims,
                                               {rt.rid: rt.cursor})
@@ -688,7 +678,7 @@ class _RankWorker:
                     join_wait_s=rt.cfg.timeouts.join_wait_s,
                     connect_deadline_s=rt.cfg.timeouts.connect_s * 4)
                 rt.mortality.register_closer(rt.client.close)
-            rt.intra.exchange(self.rank, True)  # all ranks up before reporting
+            rt.intra.barrier(self.rank)  # all ranks up before reporting
             while self.iterate():
                 pass
             rt.completed = True
@@ -757,22 +747,18 @@ class ReplicaRuntime:
         self.router = transport.ConnectionRouter(self.listener).start()
         self.mortality.register_closer(self.router.stop)
 
-        # Step/cursor/params this replica can vouch for at startup.
+        # Step/cursor/state this replica can vouch for at startup; one copy.
         if restore is not None:
             ckpt_dir, step = restore
-            parts, moms = [], []
-            for r in range(self.R):
-                p, m = checkpoint.read_shard(ckpt_dir, step, r)
-                parts.append(np.frombuffer(p, dtype=np.float32))
-                moms.append(np.frombuffer(m, dtype=np.float32))
-            self.init_params = np.concatenate(parts)
-            self.init_momentum = np.concatenate(moms)
-            if self.init_params.size != self.param_count:
+            shards = [checkpoint.read_shard(ckpt_dir, step, r) for r in range(self.R)]
+            self.params = np.concatenate([np.frombuffer(p, dtype=np.float32) for p, _ in shards])
+            self.momentum = np.concatenate([np.frombuffer(m, dtype=np.float32) for _, m in shards])
+            if self.params.size != self.param_count:
                 raise ConfigError("restored checkpoint does not match model_dims")
             self.step = step
         else:
-            self.init_params = model.init_model(self.dims, cfg.model_seed).params
-            self.init_momentum = np.zeros(self.param_count, dtype=np.float32)
+            self.params = model.init_model(self.dims, cfg.model_seed).params
+            self.momentum = np.zeros(self.param_count, dtype=np.float32)
             self.step = 0
 
         ledger_path = os.path.join(run_dir, "ledger.txt")
@@ -796,9 +782,7 @@ class ReplicaRuntime:
         self.mortality.register_closer(self.ctrl.close)
         self.workers = [_RankWorker(self, r) for r in range(self.R)]
         for w in self.workers:
-            w.store.capture(self.step,
-                            self.init_params[w.off:w.off + w.len].tobytes(),
-                            self.init_momentum[w.off:w.off + w.len].tobytes())
+            w.store.capture(self.step, w.params_shard, w.momentum_shard)
             self.mortality.register_closer(w.ring.close_links)
 
         self._metrics_fh = open(os.path.join(run_dir, f"metrics_replica{self.rid}.jsonl"),
@@ -835,9 +819,8 @@ class ReplicaRuntime:
         }
         self._metrics_fh.write(json.dumps(row) + "\n")
 
-    def record_hash(self, step: int, params_full: np.ndarray,
-                    momentum_full: np.ndarray) -> None:
-        digest = model.hash_state(params_full, momentum_full, step)
+    def record_hash(self, step: int) -> None:
+        digest = model.hash_state(self.params, self.momentum, step)
         self._hashes_fh.write(json.dumps(
             {"step": step, "replica_id": self.rid, "hash": digest}) + "\n")
 

@@ -234,8 +234,13 @@ def decode_fetch_req(payload: bytes) -> tuple[int, int]:
 _FETCH_RESP = struct.Struct("<QII")  # step, rank, data_len
 
 
+def encode_fetch_resp_head(step: int, rank: int, data_len: int) -> bytes:
+    """A FETCH_STATE_RESP payload's header; data_len bytes of data follow."""
+    return _FETCH_RESP.pack(step, rank, data_len)
+
+
 def encode_fetch_resp(step: int, rank: int, data: bytes) -> bytes:
-    return _FETCH_RESP.pack(step, rank, len(data)) + data
+    return encode_fetch_resp_head(step, rank, len(data)) + data
 
 
 def fetch_resp_frame_len(data_len: int) -> int:
@@ -244,11 +249,11 @@ def fetch_resp_frame_len(data_len: int) -> int:
     return HEADER_LEN + _FETCH_RESP.size + data_len
 
 
-def decode_fetch_resp(payload: bytes) -> tuple[int, int, bytes]:
+def decode_fetch_resp(payload: bytes) -> tuple[int, int, memoryview]:
     if len(payload) < _FETCH_RESP.size:
         raise Fatal(PROTOCOL_VIOLATION, "short FETCH_STATE_RESP payload")
     step, rank, data_len = _FETCH_RESP.unpack_from(payload, 0)
-    data = payload[_FETCH_RESP.size:]
+    data = memoryview(payload)[_FETCH_RESP.size:]
     if len(data) != data_len:
         raise Fatal(PROTOCOL_VIOLATION, "FETCH_STATE_RESP data_len mismatch")
     return step, rank, data

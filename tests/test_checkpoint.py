@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+import sys
 import threading
 import time
 
@@ -38,6 +39,87 @@ def test_snapshot_retention_is_one():
     with pytest.raises(SnapshotUnavailable) as ei:
         st.get(3)
     assert ei.value.available == 4
+
+
+def test_snapshot_read_overlapping_an_update_is_unavailable(monkeypatch):
+    """The store keeps views of the live shard. A read that its owner's
+    in-place update overlaps is refused, never returned with bytes of two
+    steps; a read that completes is a copy that later updates leave alone."""
+    params = np.zeros(4, dtype=np.float32)
+    momentum = np.zeros(4, dtype=np.float32)
+    st = SnapshotStore()
+    st.capture(5, params, momentum)
+    fetch_body = checkpoint._FETCH_BODY
+
+    class OwnerUpdatesMidRead:
+        """Lands the owner's update after the read took its views and before
+        it copies them, with half of the shard written."""
+
+        def pack(self, *lens):
+            st.invalidate()
+            momentum[:] = 1.0
+            return fetch_body.pack(*lens)
+
+    monkeypatch.setattr(checkpoint, "_FETCH_BODY", OwnerUpdatesMidRead())
+    with pytest.raises(SnapshotUnavailable) as ei:
+        st.get(5)
+    assert ei.value.available is None  # the update is still under way
+    monkeypatch.undo()
+    with pytest.raises(SnapshotUnavailable):
+        st.get(5)  # invalidated and not yet captured again
+
+    params[:] = 1.0
+    st.capture(6, params, momentum)
+    got_p, got_m = st.get(6)
+    params[:] = 2.0
+    ones = np.ones(4, dtype=np.float32).tobytes()
+    assert got_p == ones and got_m == ones
+
+
+def test_snapshot_reads_racing_in_place_updates_are_never_torn():
+    """Readers race an owner that rewrites its shard in place every step;
+    each read gives the whole shard of the step asked for, or is refused."""
+    params = np.zeros(1 << 16, dtype=np.float32)
+    momentum = np.zeros(1 << 16, dtype=np.float32)
+    st = SnapshotStore()
+    st.capture(0, params, momentum)
+    stop = threading.Event()
+    served, torn = [], []
+
+    def owner():
+        step = 0
+        while not stop.is_set():
+            st.invalidate()
+            step += 1
+            params[:] = step
+            momentum[:] = step
+            st.capture(step, params, momentum)
+            stop.wait(0.0002)  # the shard holds still for a while each step
+
+    def reader():
+        while not stop.is_set():
+            step = st.step
+            try:
+                got_p, got_m = st.get(step)
+            except SnapshotUnavailable:
+                continue
+            values = np.unique(np.frombuffer(bytes(got_p) + bytes(got_m), dtype=np.float32))
+            (served if values.tolist() == [step] else torn).append(step)
+
+    threads = [threading.Thread(target=fn) for fn in (owner, reader, reader, reader)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        time.sleep(1.0)
+    finally:
+        stop.set()
+        for t in threads:
+            t.join(timeout=5.0)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert served and not torn
 
 
 def test_fetch_roundtrip_over_sockets():
@@ -109,6 +191,18 @@ def test_shard_write_read_roundtrip(tmp_path):
     write_shard(d, 100, 1, params, momentum)
     assert read_shard(d, 100, 1) == (params, momentum)
     assert not [f for f in os.listdir(d) if f.endswith(".tmp")]
+
+
+def test_shard_written_from_array_views_matches_bytes(tmp_path):
+    state = np.arange(12, dtype=np.float32)
+    views, copies = str(tmp_path / "views"), str(tmp_path / "copies")
+    write_shard(views, 4, 1, state[2:7], state[7:])
+    write_shard(copies, 4, 1, state[2:7].tobytes(), state[7:].tobytes())
+    with open(checkpoint.shard_path(views, 4, 1), "rb") as fh:
+        got = fh.read()
+    with open(checkpoint.shard_path(copies, 4, 1), "rb") as fh:
+        assert got == fh.read()
+    assert read_shard(views, 4, 1) == (state[2:7].tobytes(), state[7:].tobytes())
 
 
 def test_shard_rejects_corruption(tmp_path):

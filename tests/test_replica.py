@@ -109,23 +109,29 @@ def test_exchange_collects_every_rank():
 
 
 def test_abort_unblocks_waiters_as_halt():
-    g = IntraGroup(2)
+    g = IntraGroup(3)
     hit = []
 
-    def waiter():
+    def waiter(op):
         try:
-            g.exchange(1, "x")
+            op()
         except _Halt:
             hit.append(True)
 
-    t = threading.Thread(target=waiter)
-    t.start()
+    threads = [threading.Thread(target=waiter, args=(op,))
+               for op in (lambda: g.exchange(1, "x"), lambda: g.barrier(2))]
+    for t in threads:
+        t.start()
     time.sleep(0.05)
     g.abort()
-    t.join(timeout=2.0)
-    assert hit == [True]
+    for t in threads:
+        t.join(timeout=2.0)
+    assert not any(t.is_alive() for t in threads)
+    assert hit == [True, True]
     with pytest.raises(_Halt):
         g.broadcast(0, 1)  # barrier stays broken
+    with pytest.raises(_Halt):
+        g.barrier(0)
 
 
 # ------------------------------------------------------------ Mortality
@@ -403,6 +409,34 @@ def test_kill_respawn_rejoins_at_gate_step(tmp_path):
     # the dead window left no consumption lines for replica 2
     steps_of_2 = sorted(s for s, rid, _ in cluster.ledger_entries() if rid == 2)
     assert steps_of_2 == [1, 2, 7, 8, 9, 10]
+
+
+def test_catch_up_run_keeps_one_state_copy_and_never_gathers(tmp_path, monkeypatch):
+    """Every rank works on views of its replica's one params and momentum
+    array, a catch-up installs into them, and no gather runs after a commit."""
+    gathers = []
+
+    def no_gather(self, rank, *args):
+        gathers.append(rank)
+        raise AssertionError("IntraGroup.all_gather called")
+
+    monkeypatch.setattr(IntraGroup, "all_gather", no_gather)
+    cfg = quick_scenario(num_replicas=3, ranks=2, total_steps=10,
+                         failures=[kill_failure(3, 3, (2,))])
+    cluster = Cluster(cfg, str(tmp_path))
+    assert cluster.run(timeout_s=60) == {0: 0, 1: 0, 2: 0}
+    assert gathers == []
+    assert any(r["replica_id"] == 2 and r["event"] == "catch-up"
+               for r in read_metrics(str(tmp_path)))
+    hashes = read_hashes(str(tmp_path))
+    for rid, handle in cluster.handles.items():
+        rt = handle.runtime
+        for w in rt.workers:
+            assert np.shares_memory(w.params_full, rt.params)
+            assert np.shares_memory(w.params_shard, rt.params)
+            assert np.shares_memory(w.momentum_shard, rt.momentum)
+        # the shared arrays are the state the replica committed last
+        assert model.hash_state(rt.params, rt.momentum, 10) == hashes[(10, rid)]
 
 
 def test_kill_run_is_bitwise_deterministic(tmp_path):
