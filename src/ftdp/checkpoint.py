@@ -28,7 +28,6 @@ import os
 import re
 import struct
 import threading
-from dataclasses import dataclass
 
 from ftdp import transport, wire
 from ftdp.errors import (

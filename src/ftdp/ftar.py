@@ -6,6 +6,11 @@ max_in_flight * N bytes; within a partition each ring step moves one
 segment, pipelined as chunks of at most chunk_bytes with a bounded
 unacknowledged window per peer link.
 
+The calling rank thread drives both of its links itself, with no helper
+thread: it sends its chunks without waiting, and whenever it must wait (for
+the next chunk, for the window, for a full socket buffer to take the rest of
+a frame) one selectors loop serves the left link and the right one together.
+
 Failure semantics: anything that smells of a lost or slow peer surfaces as
 Recoverable and leaves the caller's buffer with only whole partitions
 committed (reduction happens in a staging copy). The caller regroups via
@@ -22,10 +27,10 @@ member computes bit-identical float32 sums.
 from __future__ import annotations
 
 import logging
-import queue
-import threading
+import selectors
 import time
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -222,69 +227,142 @@ class RingGroup:
             and self.left is not None and not self.left.closed)
 
 
-class _Sender(threading.Thread):
-    """Pumps queued chunks to the right neighbor, gated by the ack window."""
+class _Pipe:
+    """One partition's ring traffic, driven by the rank thread itself.
 
-    def __init__(self, conn: transport.Connection, cfg: PipelineConfig,
-                 generation: int, step: int, meter: InflightMeter):
-        super().__init__(daemon=True)
-        self.conn = conn
+    Chunks to send wait in outbox and leave, in order, as the ack window
+    and the right link's socket allow; a frame the socket took only in
+    part keeps its unsent tail in rest. No call waits except recv and
+    drain, and both wait in _wait, which serves both links: it resumes the
+    partial send and reads acknowledgments while the chunk from the left
+    comes in. So a send blocked on a full socket buffer never stops this
+    rank from reading, and the ring cannot deadlock on it.
+    """
+
+    def __init__(self, right: transport.Connection, left: transport.Connection,
+                 cfg: PipelineConfig, generation: int, step: int, part_idx: int,
+                 meter: InflightMeter):
+        self.right = right
+        self.left = left
         self.cfg = cfg
         self.generation = generation
         self.step = step
+        self.part_idx = part_idx
         self.meter = meter
-        self.q: queue.Queue = queue.Queue()
-        self.error: Exception | None = None
-        self._unacked: list[tuple[int, int, int, int]] = []  # part, ring_step, chunk, len
-        self._seq = 0
+        self.outbox: deque[tuple[int, int, memoryview]] = deque()  # ring_step, chunk, data
+        self.rest: list = []  # unsent tail of the frame being written
+        self.unacked: deque[tuple[int, int, int, int]] = deque()  # part, ring_step, chunk, len
+        self.seq = 0
+        # poll(2) needs no kernel object of its own, unlike epoll, and two
+        # descriptors are all it watches.
+        self.sel = selectors.PollSelector()
+        self.watched: dict = {}  # socket -> the events registered for it
 
-    def run(self) -> None:
-        try:
-            while True:
-                item = self.q.get()
-                if item is None:
-                    while self._unacked:
-                        self._await_ack()
-                    return
-                part_idx, ring_step, chunk_idx, data = item
-                while len(self._unacked) >= self.cfg.max_in_flight:
-                    self._await_ack()
-                head = wire.encode_chunk_header(self.generation, part_idx, ring_step,
-                                                chunk_idx, len(data))
-                self.conn.send_frame(wire.CHUNK_DATA, self.step, self._seq, data,
-                                     timeout=self.cfg.per_chunk_timeout_s, head=head)
-                self._seq += 1
-                self.meter.sent(len(data))
-                self._unacked.append((part_idx, ring_step, chunk_idx, len(data)))
-        except FtdpError as exc:
-            self.error = exc
-        except Exception as exc:  # pragma: no cover - unexpected
-            self.error = Fatal(INTERNAL_INVARIANT, f"sender crashed: {exc!r}")
+    def close(self) -> None:
+        self.sel.close()
 
-    def _await_ack(self) -> None:
-        frame = self.conn.recv_frame(timeout=self.cfg.per_chunk_timeout_s,
-                                     max_len=wire.CHUNK_ACK_LEN)
-        if frame.msg_type != wire.CHUNK_ACK:
-            raise Fatal(PROTOCOL_VIOLATION, f"expected CHUNK_ACK, got {frame.name}")
-        gen, part_idx, ring_step, chunk_idx, ln = wire.decode_chunk_ack(frame.payload)
-        if gen != self.generation:
-            return  # stale ack from an abandoned attempt; ignore
-        if not self._unacked or self._unacked[0] != (part_idx, ring_step, chunk_idx, ln):
-            raise Fatal(PROTOCOL_VIOLATION,
-                        f"ack out of sequence: {(part_idx, ring_step, chunk_idx, ln)}")
-        self._unacked.pop(0)
-        self.meter.acked(ln)
+    def send(self) -> None:
+        """Start or resume chunk sends as far as the window and the socket
+        allow, without waiting. A chunk counts against the window from the
+        moment its first byte is offered."""
+        if self.rest:
+            self.rest = self.right.send_some(self.rest)
+        while not self.rest and self.outbox and len(self.unacked) < self.cfg.max_in_flight:
+            ring_step, chunk_idx, data = self.outbox.popleft()
+            chunk_head = wire.encode_chunk_header(self.generation, self.part_idx, ring_step,
+                                                  chunk_idx, len(data))
+            head = wire.encode_frame_head(wire.CHUNK_DATA, self.step, self.seq,
+                                          len(chunk_head) + len(data)) + chunk_head
+            self.seq += 1
+            self.unacked.append((self.part_idx, ring_step, chunk_idx, len(data)))
+            self.meter.sent(len(data))
+            self.rest = self.right.send_some([head, data])
 
-    def finish(self) -> None:
-        self.q.put(None)
-        self.join(timeout=self.cfg.per_chunk_timeout_s * (len(self._unacked) + 2))
-        if self.is_alive():
-            raise Recoverable(TIMEOUT, "sender did not drain acknowledgments")
-        if self.error is not None:
-            raise self.error
+    def recv(self, ring_step: int, chunk_idx: int, dest: memoryview) -> None:
+        """Receive the next in-generation chunk from the left into dest and
+        acknowledge it. Stale-generation frames are dropped without
+        disturbing the current operation."""
+        want = (self.part_idx, ring_step, chunk_idx)
+        self.send()
+        deadline = time.monotonic() + self.cfg.per_chunk_timeout_s
+        while True:
+            got = self.left.recv_chunk_into(dest, self.generation, want,
+                                            self.cfg.chunk_bytes, deadline)
+            if got:
+                break
+            if got is None:
+                self._wait(deadline, want)
+            else:
+                log.debug("dropping a chunk of an older generation (current %d)",
+                          self.generation)
+        ack = wire.encode_chunk_header(self.generation, *want, len(dest))
+        self.left.send_frame(wire.CHUNK_ACK, self.step, 0, ack,
+                             timeout=self.cfg.per_chunk_timeout_s)
 
-    def abort(self) -> None:
-        self.q.put(None)
+    def drain(self) -> None:
+        """Finish every send and collect every acknowledgment; each
+        acknowledgment has per_chunk_timeout_s to arrive."""
+        self.send()
+        while self.unacked:
+            outstanding = len(self.unacked) + len(self.outbox)
+            deadline = time.monotonic() + self.cfg.per_chunk_timeout_s
+            while len(self.unacked) + len(self.outbox) == outstanding:
+                self._wait(deadline)
+
+    def _wait(self, deadline: float, want: tuple[int, int, int] | None = None) -> None:
+        """Sleep until a link can move, then move what the right link
+        allows: read its acknowledgments and resume or start sends. The
+        left link is watched while a chunk is wanted; the caller reads it.
+        The right link is watched for acknowledgments only while chunks
+        wait for the window or for drain, and for room while a frame is
+        half sent."""
+        reading = want is not None
+        right = selectors.EVENT_READ if (self.outbox or not reading) else 0
+        if self.rest:
+            right |= selectors.EVENT_WRITE
+        self._watch(self.right.sock, right)
+        self._watch(self.left.sock, selectors.EVENT_READ if reading else 0)
+        timeout = deadline - time.monotonic()
+        ready = self.sel.select(timeout) if timeout > 0 else []
+        if not ready:
+            what = f"chunk {want}" if reading else "acknowledgment"
+            raise Recoverable(TIMEOUT, f"{what} never arrived")
+        for key, events in ready:
+            if key.fileobj is self.right.sock:
+                if events & selectors.EVENT_READ:
+                    self._read_acks(deadline)
+                self.send()
+
+    def _watch(self, sock, events: int) -> None:
+        was = self.watched.get(sock, 0)
+        if events == was:
+            return
+        if not was:
+            self.sel.register(sock, events)
+        elif not events:
+            self.sel.unregister(sock)
+        else:
+            self.sel.modify(sock, events)
+        self.watched[sock] = events
+
+    def _read_acks(self, deadline: float) -> None:
+        """Take every acknowledgment the right link has delivered. The
+        acknowledger writes each in one send, so a frame that has begun to
+        arrive completes without anything from this rank."""
+        while True:
+            frame = self.right.recv_frame(timeout=max(0.0, deadline - time.monotonic()),
+                                          max_len=wire.CHUNK_ACK_LEN)
+            if frame.msg_type != wire.CHUNK_ACK:
+                raise Fatal(PROTOCOL_VIOLATION, f"expected CHUNK_ACK, got {frame.name}")
+            gen, part_idx, ring_step, chunk_idx, ln = wire.decode_chunk_ack(frame.payload)
+            if gen == self.generation:  # else a stale ack from an abandoned attempt
+                if not self.unacked or self.unacked[0] != (part_idx, ring_step, chunk_idx, ln):
+                    raise Fatal(PROTOCOL_VIOLATION,
+                                f"ack out of sequence: {(part_idx, ring_step, chunk_idx, ln)}")
+                self.unacked.popleft()
+                self.meter.acked(ln)
+            if not self.right.buffered:
+                return
 
 
 def ftar_all_reduce(group: RingGroup, buf: np.ndarray, step: int,
@@ -324,68 +402,44 @@ def _reduce_partition(group: RingGroup, buf: np.ndarray, part_idx: int,
     work = buf[p_off:p_off + p_len].copy()
     # Reduce-scatter chunks land here, one at a time, to be folded into work.
     scratch = memoryview(bytearray(min(cfg.chunk_elems, segs[0][1]) * ELEM))
-    sender = _Sender(group.right, cfg, group.generation, step, group.meter)
-    sender.start()
+    pipe = _Pipe(group.right, group.left, cfg, group.generation, step, part_idx, group.meter)
     try:
         for t in range(n - 1):
-            _ring_step(group, sender, work, scratch, segs, part_idx,
-                       ring_step=t, send_seg=(me - t) % n,
-                       recv_seg=(me - t - 1) % n, reduce=True, cfg=cfg)
+            _ring_step(pipe, work, scratch, segs, ring_step=t, send_seg=(me - t) % n,
+                       recv_seg=(me - t - 1) % n, reduce=True)
         for t in range(n - 1):
-            _ring_step(group, sender, work, scratch, segs, part_idx,
-                       ring_step=(n - 1) + t, send_seg=(me - t + 1) % n,
-                       recv_seg=(me - t) % n, reduce=False, cfg=cfg)
-        sender.finish()
-    except FtdpError:
-        sender.abort()
-        raise
+            _ring_step(pipe, work, scratch, segs, ring_step=(n - 1) + t,
+                       send_seg=(me - t + 1) % n, recv_seg=(me - t) % n, reduce=False)
+        pipe.drain()
+    finally:
+        pipe.close()
     if not np.isfinite(work).all():
         raise Fatal(NUMERICAL, "non-finite values in reduction payload")
     buf[p_off:p_off + p_len] = work
 
 
-def _ring_step(group: RingGroup, sender: _Sender, work: np.ndarray, scratch: memoryview,
-               segs: list[tuple[int, int]], part_idx: int, ring_step: int,
-               send_seg: int, recv_seg: int, reduce: bool, cfg: PipelineConfig) -> None:
-    if sender.error is not None:
-        raise sender.error
-    # The sender reads its chunks straight out of work, after this call has
-    # moved on. That is safe because a segment is overwritten only by an
+def _ring_step(pipe: _Pipe, work: np.ndarray, scratch: memoryview,
+               segs: list[tuple[int, int]], ring_step: int,
+               send_seg: int, recv_seg: int, reduce: bool) -> None:
+    # Chunks leave straight out of work, some only after this call has
+    # returned: waiting in the outbox, or half sent with the tail in
+    # pipe.rest. That is safe because a segment is overwritten only by an
     # all-gather chunk, which comes from the left neighbor and can exist only
     # after this rank's earlier send of the same segment reached the right
     # neighbor in full: the reduction that produced it had to add that data.
     # Reduce-scatter only adds into segments this rank has not sent yet.
+    chunk_elems = pipe.cfg.chunk_elems
     raw = memoryview(work).cast("B")
     s_off, s_len = segs[send_seg]
-    for chunk_idx, c_off, c_len in iter_chunks(s_len, cfg.chunk_elems):
+    for chunk_idx, c_off, c_len in iter_chunks(s_len, chunk_elems):
         lo = (s_off + c_off) * ELEM
-        sender.q.put((part_idx, ring_step, chunk_idx, raw[lo:lo + c_len * ELEM]))
+        pipe.outbox.append((ring_step, chunk_idx, raw[lo:lo + c_len * ELEM]))
     r_off, r_len = segs[recv_seg]
-    for chunk_idx, c_off, c_len in iter_chunks(r_len, cfg.chunk_elems):
+    for chunk_idx, c_off, c_len in iter_chunks(r_len, chunk_elems):
         lo = r_off + c_off
         if reduce:
             data = scratch[:c_len * ELEM]
-            _recv_chunk(group, part_idx, ring_step, chunk_idx, data, cfg)
+            pipe.recv(ring_step, chunk_idx, data)
             kernels.accumulate(work[lo:lo + c_len], data)
         else:
-            _recv_chunk(group, part_idx, ring_step, chunk_idx,
-                        raw[lo * ELEM:(lo + c_len) * ELEM], cfg)
-        ack = wire.encode_chunk_header(group.generation, part_idx, ring_step, chunk_idx, c_len * ELEM)
-        group.left.send_frame(wire.CHUNK_ACK, sender.step, 0, ack,
-                              timeout=cfg.per_chunk_timeout_s)
-
-
-def _recv_chunk(group: RingGroup, part_idx: int, ring_step: int, chunk_idx: int,
-                dest: memoryview, cfg: PipelineConfig) -> None:
-    """Next in-generation chunk from the left neighbor, written into dest.
-    Stale-generation frames are dropped without disturbing the current
-    operation."""
-    deadline = time.monotonic() + cfg.per_chunk_timeout_s
-    while True:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise Recoverable(TIMEOUT, f"chunk ({part_idx},{ring_step},{chunk_idx}) never arrived")
-        if group.left.recv_chunk_into(dest, group.generation, (part_idx, ring_step, chunk_idx),
-                                      cfg.chunk_bytes, remaining):
-            return
-        log.debug("dropping a chunk of an older generation (current %d)", group.generation)
+            pipe.recv(ring_step, chunk_idx, raw[lo * ELEM:(lo + c_len) * ELEM])

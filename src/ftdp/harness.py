@@ -29,7 +29,6 @@ from ftdp.errors import ConfigError, InvariantViolation
 from ftdp.quorum import QuorumCoordinator
 from ftdp.replica import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK
 from ftdp.scenario import ScenarioConfig, load_scenario
-from ftdp.worker import PORTS_FILE
 
 log = logging.getLogger("ftdp.harness")
 

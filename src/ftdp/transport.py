@@ -3,8 +3,9 @@ and an in-process fault-injection shim.
 
 Every blocking call takes a timeout and raises the shared error taxonomy:
 timeouts and vanished peers are Recoverable, garbage frames are Fatal.
-A connection is owned by one execution context at a time; concurrent use
-of *different* connections from different threads is fine.
+A connection is owned by one execution context at a time, except that one
+thread may send on it while another reads from it; concurrent use of
+*different* connections from different threads is fine.
 
 Fault rules black-hole inter-replica data links (ring chunks and state
 fetches). Control traffic (quorum reports, intra-replica frames)
@@ -15,8 +16,9 @@ logical clock observed from quorum decisions, so runs stay reproducible.
 
 from __future__ import annotations
 
+import errno
 import logging
-import queue
+import select
 import socket
 import threading
 import time
@@ -113,7 +115,13 @@ class FaultPlan:
 
 
 class Connection:
-    """One framed duplex stream."""
+    """One framed duplex stream.
+
+    The socket is non-blocking for the connection's whole life. A call that
+    must wait polls the socket itself, bounded by its own deadline, so no
+    call changes state that another thread's call depends on: one thread
+    may send on a connection while another reads from it.
+    """
 
     def __init__(self, sock: socket.socket, peer: PeerAddress | None = None,
                  purpose: int = 0, plan: FaultPlan | None = None):
@@ -124,6 +132,8 @@ class Connection:
         self.closed = False
         self._rxbuf = bytearray()
         self._scratch = bytearray(65536)
+        self._chunk_in: list | None = None  # [current, position, length] of a frame being read
+        sock.setblocking(False)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
@@ -149,35 +159,60 @@ class Connection:
         memoryview of an array: it is written from where it lies, after the
         frame header and head, in one sendmsg and without a copy.
         """
-        if self.closed:
-            raise Recoverable(PEER_RESET, "connection closed")
         data = wire.encode_frame_head(msg_type, step, seq, len(head) + len(payload)) + head
-        if self._black_holed():
-            return  # swallow silently, peer sees nothing
+        rest = self.send_some((data, payload))
+        if not rest:
+            return
+        deadline = time.monotonic() + timeout
         try:
-            self.sock.settimeout(timeout)
-            deadline = time.monotonic() + timeout
-            sent = self.sock.sendmsg((data, payload))
-            total = len(data) + len(payload)
-            if sent < total:
-                self._send_rest(data, payload, sent, deadline)
+            while rest:
+                self._wait(select.POLLOUT, deadline)
+                rest = self.send_some(rest)
         except socket.timeout as exc:
             raise Recoverable(TIMEOUT, f"send to {self.peer}: {exc}") from exc
         except OSError as exc:
             self.close()
             raise Recoverable(PEER_RESET, f"send to {self.peer}: {exc}") from exc
 
-    def _send_rest(self, first: bytes, second, sent: int, deadline: float) -> None:
-        """Finish sending first then second after a full socket buffer cut
-        their sendmsg short at sent bytes."""
-        for part in (first, second):
+    def send_some(self, parts) -> list:
+        """Write what the socket takes now of parts, buffers whose len()
+        counts bytes that go out in order, and return the rest as a list
+        of byte memoryviews ([] once all is written). Never waits: the
+        caller waits for the socket to be writable and calls again with
+        the rest. A black-holed link swallows everything, so its peer sees
+        nothing.
+        """
+        if self.closed:
+            raise Recoverable(PEER_RESET, "connection closed")
+        if self._black_holed():
+            return []
+        try:
+            sent = self.sock.sendmsg(parts)
+        except BlockingIOError:
+            sent = 0
+        except OSError as exc:
+            self.close()
+            raise Recoverable(PEER_RESET, f"send to {self.peer}: {exc}") from exc
+        rest = []
+        for part in parts:
             if sent < len(part):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise socket.timeout("timed out")
-                self.sock.settimeout(remaining)
-                self.sock.sendall(memoryview(part)[sent:])
+                rest.append(memoryview(part)[sent:])
             sent = max(0, sent - len(part))
+        return rest
+
+    def _wait(self, events: int, deadline: float) -> None:
+        """Return once the socket is ready for events (select.POLLIN or
+        POLLOUT); raise socket.timeout if deadline passes first."""
+        remaining = deadline - time.monotonic()
+        if remaining > 0:
+            poller = select.poll()
+            fd = self.sock.fileno()
+            if fd < 0:  # closed by another thread
+                raise OSError(errno.EBADF, "socket closed")
+            poller.register(fd, events)
+            if poller.poll(remaining * 1000):
+                return
+        raise socket.timeout("timed out")
 
     def recv_frame(self, timeout: float = DEFAULT_TIMEOUT_S,
                    max_len: int = wire.MAX_FRAME_LEN) -> wire.Frame:
@@ -206,89 +241,116 @@ class Connection:
                     return frame
             self._fill(deadline)
 
+    @property
+    def buffered(self) -> int:
+        """Bytes read from the socket that no frame has consumed yet. A
+        selector does not see them, so a reader that waits on one checks
+        here first."""
+        return len(self._rxbuf)
+
     def recv_chunk_into(self, dest, generation: int, want: tuple[int, int, int],
-                        max_len: int, timeout: float = DEFAULT_TIMEOUT_S) -> bool:
-        """Receive one CHUNK_DATA frame's data straight into dest.
+                        max_len: int, deadline: float) -> bool | None:
+        """Move what has arrived of the next CHUNK_DATA frame, never waiting.
 
         want is the (partition, ring_step, chunk) expected next and
         len(dest) its data length in bytes; dest is a writable buffer whose
-        len() counts bytes, such as a byte memoryview of an array. The
-        header is checked before any data byte is read: another message
-        type, data longer than max_len, or a chunk of this generation other
-        than the one wanted is Fatal. A chunk of another generation, a
-        straggler from an abandoned attempt, has its data read and dropped,
-        and the call returns False.
+        len() counts bytes, such as a byte memoryview of an array. Returns
+        None while the frame is incomplete: the connection keeps its place,
+        and the caller calls again with the same arguments once the socket
+        is readable (or buffered is non-zero). Returns True once the
+        wanted chunk is wholly in dest, and False once a chunk of another
+        generation, a straggler from an abandoned attempt, has been read
+        and dropped.
 
-        A timeout before the whole header is in leaves the stream intact,
-        as in recv_frame. Once the header is consumed, an error or timeout
-        closes the connection: the rest of the frame may still arrive, and
-        nothing could find the next frame boundary after it.
+        The header is checked before any data byte is read: another
+        message type, data longer than max_len, or a chunk of this
+        generation other than the one wanted is Fatal. The caller owns the
+        wait; deadline is when it ends, and a black-holed link sleeps until
+        then and raises TIMEOUT, as a silent peer would. A caller that gives
+        up inside a frame must close the connection: nothing could find the
+        next frame boundary after it.
         """
         if self.closed:
             raise Recoverable(PEER_RESET, "connection closed")
-        deadline = time.monotonic() + timeout
         if self._black_holed():
-            time.sleep(timeout)
+            time.sleep(max(0.0, deadline - time.monotonic()))
             raise Recoverable(TIMEOUT, f"recv from {self.peer}: black-holed")
-        buf = self._rxbuf
-        head_len = wire.CHUNK_FRAME.size
-        # A frame of another type, or one too short to hold a chunk header,
-        # may end before 41 bytes, so it is judged as soon as its length
-        # prefix and type are in.
-        while len(buf) < head_len and (len(buf) < 5 or (
-                buf[4] == wire.CHUNK_DATA and wire._LEN.unpack_from(buf)[0] >= head_len - 4)):
-            self._fill(deadline)
-        if buf[4] != wire.CHUNK_DATA:
-            name = wire.TAG_NAMES.get(buf[4], f"0x{buf[4]:02x}")
-            raise Fatal(PROTOCOL_VIOLATION, f"expected CHUNK_DATA, got {name}")
-        if len(buf) < head_len:
-            raise Fatal(PROTOCOL_VIOLATION,
-                        f"short CHUNK_DATA frame of length {wire._LEN.unpack_from(buf)[0]}")
-        total, _t, _step, _seq, gen, part, ring_step, chunk, n = wire.CHUNK_FRAME.unpack_from(buf)
-        if total != head_len - 4 + n or n > max_len:
-            raise Fatal(PROTOCOL_VIOLATION,
-                        f"bad CHUNK_DATA length {total} (data {n}, at most {max_len})")
-        current = gen == generation
-        if current and ((part, ring_step, chunk) != want or n != len(dest)):
-            raise Fatal(PROTOCOL_VIOLATION,
-                        f"chunk out of sequence: got {(part, ring_step, chunk, n)}, "
-                        f"want {want + (len(dest),)}")
-        del buf[:head_len]
-        try:
-            self._read_data(dest if current else None, n, deadline)
-        except Recoverable:
-            self.close()
-            raise
+        if self._chunk_in is None:
+            buf = self._rxbuf
+            head_len = wire.CHUNK_FRAME.size
+            # A frame of another type, or one too short to hold a chunk
+            # header, may end before 41 bytes, so it is judged as soon as its
+            # length prefix and type are in.
+            while len(buf) < head_len and (len(buf) < 5 or (
+                    buf[4] == wire.CHUNK_DATA and wire._LEN.unpack_from(buf)[0] >= head_len - 4)):
+                if not self._fill(None):
+                    return None
+            if buf[4] != wire.CHUNK_DATA:
+                name = wire.TAG_NAMES.get(buf[4], f"0x{buf[4]:02x}")
+                raise Fatal(PROTOCOL_VIOLATION, f"expected CHUNK_DATA, got {name}")
+            if len(buf) < head_len:
+                raise Fatal(PROTOCOL_VIOLATION,
+                            f"short CHUNK_DATA frame of length {wire._LEN.unpack_from(buf)[0]}")
+            total, _t, _step, _seq, gen, part, ring_step, chunk, n = wire.CHUNK_FRAME.unpack_from(buf)
+            if total != head_len - 4 + n or n > max_len:
+                raise Fatal(PROTOCOL_VIOLATION,
+                            f"bad CHUNK_DATA length {total} (data {n}, at most {max_len})")
+            current = gen == generation
+            if current and ((part, ring_step, chunk) != want or n != len(dest)):
+                raise Fatal(PROTOCOL_VIOLATION,
+                            f"chunk out of sequence: got {(part, ring_step, chunk, n)}, "
+                            f"want {want + (len(dest),)}")
+            del buf[:head_len]
+            self._chunk_in = [current, 0, n]
+        current, pos, n = self._chunk_in
+        pos = self._read_data(dest if current else None, pos, n)
+        if pos < n:
+            self._chunk_in[1] = pos
+            return None
+        self._chunk_in = None
         return current
 
-    def _read_data(self, dest, n: int, deadline: float) -> None:
-        """The next n bytes of the stream into dest, or dropped when dest is
-        None. Bytes already buffered are taken first; the rest go from the
-        socket straight into dest."""
+    def _read_data(self, dest, pos: int, n: int) -> int:
+        """Move bytes pos..n of the current frame's data into dest, or drop
+        them when dest is None, as far as they have arrived; return the new
+        position. Bytes already buffered are taken first; the rest go from
+        the socket straight into dest."""
         buf = self._rxbuf
-        have = min(len(buf), n)
+        have = min(len(buf), n - pos)
         if have:
             if dest is not None:
-                dest[:have] = buf[:have]
+                dest[pos:pos + have] = buf[:have]
             del buf[:have]
-        pos = have
+            pos += have
         while pos < n:
             if dest is None:
-                pos += self._recv_into(memoryview(self._scratch)[:n - pos], deadline)
+                target = memoryview(self._scratch)[:n - pos]
             else:
-                pos += self._recv_into(dest[pos:], deadline)
+                target = dest[pos:n]
+            k = self._recv_into(target, None)
+            pos += k
+            if k < len(target):
+                break  # the socket is drained
+        return pos
 
-    def _fill(self, deadline: float) -> None:
+    def _fill(self, deadline: float | None) -> int:
         k = self._recv_into(self._scratch, deadline)
         self._rxbuf += memoryview(self._scratch)[:k]
+        return k
 
-    def _recv_into(self, target, deadline: float) -> int:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise Recoverable(TIMEOUT, f"recv from {self.peer}: timed out")
+    def _recv_into(self, target, deadline: float | None) -> int:
+        """Bytes read into target. With deadline None only what has arrived
+        is read, 0 if nothing has; otherwise the first byte is waited for
+        until deadline."""
         try:
-            self.sock.settimeout(remaining)
-            k = self.sock.recv_into(target)
+            while True:
+                try:
+                    k = self.sock.recv_into(target)
+                    break
+                except BlockingIOError:
+                    if deadline is None:
+                        return 0
+                    self._wait(select.POLLIN, deadline)
         except socket.timeout as exc:
             raise Recoverable(TIMEOUT, f"recv from {self.peer}: {exc}") from exc
         except OSError as exc:

@@ -458,40 +458,138 @@ def _read_exactly(conn, n, timeout=5.0):
     return bytes(out)
 
 
+def _pipe(right, cfg, generation, step, part_idx):
+    """A partition's pipe on a bare link, with an idle left link beside it."""
+    idle, idle_peer = _socket_pair()
+    pipe = ftar._Pipe(right, idle, cfg, generation, step, part_idx, ftar.InflightMeter())
+    return pipe, (idle, idle_peer)
+
+
 @pytest.mark.parametrize("nbytes", [400, MIB])
 def test_chunk_send_writes_reference_frame_bytes(nbytes):
     a, b = _socket_pair()
     cfg = ftar.PipelineConfig(chunk_bytes=nbytes, max_in_flight=1, per_chunk_timeout_s=5.0)
-    sender = ftar._Sender(a, cfg, generation=6, step=11, meter=ftar.InflightMeter())
+    pipe, idle = _pipe(a, cfg, generation=6, step=11, part_idx=2)
+    failed = []
+
+    def drain():
+        try:
+            pipe.drain()
+        except Exception as exc:  # noqa: BLE001 - asserted below
+            failed.append(exc)
+
+    sender = threading.Thread(target=drain)
     try:
         data = np.random.default_rng(nbytes).standard_normal(nbytes // 4).astype(np.float32)
+        pipe.outbox.append((3, 4, data.view(np.uint8)))
         sender.start()
-        sender.q.put((2, 3, 4, data.view(np.uint8)))
         expect = wire.encode_frame(wire.CHUNK_DATA, 11, 0,
                                    wire.encode_chunk(6, 2, 3, 4, data.tobytes()))
         assert _read_exactly(b, len(expect)) == expect
+        b.send_frame(wire.CHUNK_ACK, 11, 0, wire.encode_chunk_header(6, 2, 3, 4, nbytes))
+        sender.join(timeout=10.0)
+        assert not sender.is_alive() and not failed
     finally:
-        sender.abort()
-        a.close()
-        b.close()
+        pipe.close()
+        for conn in (a, b) + idle:
+            conn.close()
 
 
 def test_ack_link_rejects_oversized_length_prefix_at_once():
     a, b = _socket_pair()
     cfg = ftar.PipelineConfig(chunk_bytes=8, max_in_flight=1, per_chunk_timeout_s=4.0)
-    sender = ftar._Sender(a, cfg, generation=1, step=1, meter=ftar.InflightMeter())
+    pipe, idle = _pipe(a, cfg, generation=1, step=1, part_idx=0)
     try:
-        sender.start()
-        sender.q.put((0, 0, 0, memoryview(bytes(8))))
+        pipe.outbox.append((0, 0, memoryview(bytes(8))))
         b.sock.sendall(struct.pack("<I", 512 * MIB))
         t0 = time.monotonic()
         with pytest.raises(errors.Fatal) as ei:
-            sender.finish()
+            pipe.drain()
         assert ei.value.reason == errors.PROTOCOL_VIOLATION
         assert time.monotonic() - t0 < 2.0
     finally:
-        a.close()
-        b.close()
+        pipe.close()
+        for conn in (a, b) + idle:
+            conn.close()
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 4])
+def test_chunks_larger_than_socket_buffers_complete(ring4, max_in_flight):
+    """Every member sends a 4 MiB chunk at once through 256 KiB socket
+    buffers, so every send blocks half-way until its right neighbor reads.
+    A member that waited on its own send, or read a chunk without also
+    pushing its own, would stall the ring until per_chunk_timeout_s."""
+    ring4.reconfig()
+    for g in ring4.groups:
+        for conn in (g.right, g.left):
+            conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 256 * 1024)
+            conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 256 * 1024)
+    cfg = ftar.PipelineConfig(chunk_bytes=4 * MIB, max_in_flight=max_in_flight,
+                              per_chunk_timeout_s=5.0)
+    rng = np.random.default_rng(max_in_flight)
+    arrays = [rng.standard_normal(4 * MIB).astype(np.float32) for _ in range(4)]
+    t0 = time.monotonic()
+    run_case(ring4, list(range(4)), arrays, 1, cfg)
+    assert time.monotonic() - t0 < cfg.per_chunk_timeout_s / 2
+    for g in ring4.groups:
+        assert g.meter.max_unacked_bytes <= cfg.chunk_bytes * cfg.max_in_flight
+        assert g.meter.max_unacked_chunks <= cfg.max_in_flight
+        assert g.meter.unacked_bytes == 0
+
+
+def test_all_reduce_starts_no_thread(ring4, monkeypatch):
+    assert "threading" not in vars(ftar) and "queue" not in vars(ftar)
+    ring4.reconfig()
+    cfg = ftar.PipelineConfig(chunk_bytes=64, max_in_flight=2, per_chunk_timeout_s=5.0)
+    rng = np.random.default_rng(9)
+    arrays = [rng.standard_normal(300).astype(np.float32) for _ in range(4)]
+    bufs = {rid: arrays[rid].copy() for rid in range(4)}
+    go = threading.Event()
+    results = {}
+
+    def member(rid):
+        go.wait(10.0)
+        try:
+            results[rid] = ftar.ftar_all_reduce(ring4.groups[rid], bufs[rid], 1, cfg)
+        except Exception as exc:  # noqa: BLE001 - asserted below
+            results[rid] = exc
+
+    members = [threading.Thread(target=member, args=(rid,)) for rid in range(4)]
+    for t in members:
+        t.start()
+
+    def refuse(thread):
+        raise AssertionError(f"an all-reduce started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    go.set()
+    for t in members:
+        t.join(timeout=30.0)
+    monkeypatch.undo()
+    assert not any(t.is_alive() for t in members), "all-reduce hung"
+    expect = oracle_reduce(arrays, cfg.chunk_bytes, cfg.max_in_flight)
+    for rid in range(4):
+        assert results[rid] is bufs[rid], results[rid]
+        np.testing.assert_array_equal(results[rid], expect)
+
+
+def test_chunk_cut_short_times_out_and_closes_links():
+    """The left neighbor sends the expected chunk's header and 10 of its 16
+    data bytes, then nothing: the wait times out, and the links close, so
+    the stream cut mid-frame is never read again."""
+    ring = Ring(2)
+    try:
+        ring.reconfig()
+        frame = wire.encode_frame(wire.CHUNK_DATA, 1, 0,
+                                  wire.encode_chunk(ring.gen, 0, 0, 0, bytes(16)))
+        ring.groups[1].right.sock.sendall(frame[:wire.CHUNK_FRAME.size + 10])
+        cfg = ftar.PipelineConfig(chunk_bytes=64, max_in_flight=1, per_chunk_timeout_s=0.4)
+        results = ring.all_reduce({0: np.ones(8, dtype=np.float32)}, 1, cfg, [0])
+        assert isinstance(results[0], errors.Recoverable)
+        assert results[0].reason == errors.TIMEOUT
+        assert not ring.groups[0].links_ready()
+    finally:
+        ring.close()
 
 
 def _chunk_head(generation, part, ring_step, chunk, data_len):

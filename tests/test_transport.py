@@ -1,5 +1,6 @@
 """Transport tests: framing over real sockets, timeouts, fault shim."""
 
+import selectors
 import socket
 import struct
 import threading
@@ -278,6 +279,20 @@ def test_fault_rule_validation():
         transport.FaultRule(replica_id=0, at_step=1, duration_steps=0)
 
 
+def recv_chunk(conn, dest, generation, want, max_len, timeout):
+    """Call the resumable chunk receive until it finishes, waiting on the
+    socket in between as the ring's wait loop does; None if the chunk is
+    still incomplete after timeout."""
+    deadline = time.monotonic() + timeout
+    with selectors.DefaultSelector() as sel:
+        sel.register(conn.sock, selectors.EVENT_READ)
+        while True:
+            got = conn.recv_chunk_into(dest, generation, want, max_len, deadline)
+            remaining = deadline - time.monotonic()
+            if got is not None or remaining <= 0 or not sel.select(remaining):
+                return got
+
+
 def test_chunk_data_lands_in_place_and_stream_continues():
     a, b, router = make_pair()
     try:
@@ -285,7 +300,7 @@ def test_chunk_data_lands_in_place_and_stream_continues():
         a.send_frame(wire.CHUNK_DATA, 1, 0, wire.encode_chunk(3, 0, 1, 2, data))
         a.send_frame(wire.HEARTBEAT, step=9)
         dest = bytearray(len(data))
-        assert b.recv_chunk_into(memoryview(dest), 3, (0, 1, 2), len(data), timeout=5.0)
+        assert recv_chunk(b, memoryview(dest), 3, (0, 1, 2), len(data), timeout=5.0)
         assert dest == data
         assert b.recv_frame(timeout=1.0).step == 9
     finally:
@@ -294,36 +309,37 @@ def test_chunk_data_lands_in_place_and_stream_continues():
         router.stop()
 
 
-def test_recv_timeout_inside_chunk_data_closes_connection():
+def test_chunk_receive_resumes_inside_chunk_data():
     a, b, router = make_pair()
     try:
-        frame = wire.encode_frame(wire.CHUNK_DATA, 1, 0, wire.encode_chunk(3, 0, 0, 0, bytes(64)))
+        data = bytes(range(64))
+        frame = wire.encode_frame(wire.CHUNK_DATA, 1, 0, wire.encode_chunk(3, 0, 0, 0, data))
         a.sock.sendall(frame[:wire.CHUNK_FRAME.size + 10])  # header and 10 data bytes
-        with pytest.raises(Recoverable) as ei:
-            b.recv_chunk_into(memoryview(bytearray(64)), 3, (0, 0, 0), 64, timeout=0.2)
-        assert ei.value.reason == TIMEOUT
-        assert b.closed  # the stream is mid-frame; it must never be read again
-        with pytest.raises(Recoverable) as ei:
-            b.recv_frame(timeout=0.2)
-        assert ei.value.reason == PEER_RESET
+        dest = bytearray(64)
+        assert recv_chunk(b, memoryview(dest), 3, (0, 0, 0), 64, timeout=0.2) is None
+        assert not b.closed
+        assert dest[:10] == data[:10]  # what arrived is already in place
+        a.sock.sendall(frame[wire.CHUNK_FRAME.size + 10:])
+        a.send_frame(wire.HEARTBEAT, step=9)
+        assert recv_chunk(b, memoryview(dest), 3, (0, 0, 0), 64, timeout=1.0)
+        assert dest == data
+        assert b.recv_frame(timeout=1.0).step == 9
     finally:
         a.close()
         b.close()
         router.stop()
 
 
-def test_recv_timeout_inside_chunk_header_keeps_stream_intact():
+def test_chunk_receive_resumes_inside_chunk_header():
     a, b, router = make_pair()
     try:
         frame = wire.encode_frame(wire.CHUNK_DATA, 1, 0, wire.encode_chunk(3, 0, 0, 0, b"abcd"))
         a.sock.sendall(frame[:30])
-        with pytest.raises(Recoverable) as ei:
-            b.recv_chunk_into(memoryview(bytearray(4)), 3, (0, 0, 0), 4, timeout=0.2)
-        assert ei.value.reason == TIMEOUT
+        assert recv_chunk(b, memoryview(bytearray(4)), 3, (0, 0, 0), 4, timeout=0.2) is None
         assert not b.closed
         a.sock.sendall(frame[30:])
         dest = bytearray(4)
-        assert b.recv_chunk_into(memoryview(dest), 3, (0, 0, 0), 4, timeout=1.0)
+        assert recv_chunk(b, memoryview(dest), 3, (0, 0, 0), 4, timeout=1.0)
         assert dest == b"abcd"
     finally:
         a.close()
