@@ -168,6 +168,17 @@ class RingGroup:
         self.right: transport.Connection | None = None
         self.left: transport.Connection | None = None
         self.meter = InflightMeter()
+        # Reused by every all-reduce, grown to the largest partition seen.
+        self._staging = np.empty(0, dtype=np.float32)
+        self._scratch = bytearray()
+
+    def buffers(self, part_elems: int, scratch_bytes: int) -> tuple[np.ndarray, memoryview]:
+        """The staging array for one partition and the chunk scratch."""
+        if self._staging.size < part_elems:
+            self._staging = np.empty(part_elems, dtype=np.float32)
+        if len(self._scratch) < scratch_bytes:
+            self._scratch = bytearray(scratch_bytes)
+        return self._staging[:part_elems], memoryview(self._scratch)[:scratch_bytes]
 
     @property
     def n(self) -> int:
@@ -378,8 +389,7 @@ def ftar_all_reduce(group: RingGroup, buf: np.ndarray, step: int,
     if buf.dtype != np.float32 or not buf.flags.c_contiguous:
         raise Fatal(INTERNAL_INVARIANT, "all-reduce buffer must be contiguous float32")
     if group.n == 1:
-        if not np.isfinite(buf).all():
-            raise Fatal(NUMERICAL, "non-finite values in reduction payload")
+        _check_finite(buf)
         return buf
     if not group.links_ready():
         raise Recoverable(PEER_RESET, "ring links not established")
@@ -399,9 +409,10 @@ def _reduce_partition(group: RingGroup, buf: np.ndarray, part_idx: int,
     me = group.index
     segs = segment_bounds(p_len, n)
     # Staging copy: the caller's region is rewritten only on completion.
-    work = buf[p_off:p_off + p_len].copy()
-    # Reduce-scatter chunks land here, one at a time, to be folded into work.
-    scratch = memoryview(bytearray(min(cfg.chunk_elems, segs[0][1]) * ELEM))
+    # Reduce-scatter chunks land in scratch, one at a time, to be folded
+    # into work.
+    work, scratch = group.buffers(p_len, min(cfg.chunk_elems, segs[0][1]) * ELEM)
+    np.copyto(work, buf[p_off:p_off + p_len])
     pipe = _Pipe(group.right, group.left, cfg, group.generation, step, part_idx, group.meter)
     try:
         for t in range(n - 1):
@@ -413,9 +424,15 @@ def _reduce_partition(group: RingGroup, buf: np.ndarray, part_idx: int,
         pipe.drain()
     finally:
         pipe.close()
-    if not np.isfinite(work).all():
-        raise Fatal(NUMERICAL, "non-finite values in reduction payload")
+    _check_finite(work)
     buf[p_off:p_off + p_len] = work
+
+
+def _check_finite(a: np.ndarray) -> None:
+    # min and max propagate NaN and expose an infinity, and unlike isfinite
+    # they allocate nothing the size of a.
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+        raise Fatal(NUMERICAL, "non-finite values in reduction payload")
 
 
 def _ring_step(pipe: _Pipe, work: np.ndarray, scratch: memoryview,

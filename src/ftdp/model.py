@@ -6,6 +6,12 @@ vector with a named (offset, shape) layout so collectives and checkpoints
 can treat state as bytes. Forward/backward math runs in float64 and casts
 results back, keeping gradients friendly to finite-difference checking
 while stored state stays bit-deterministic float32.
+
+A replica keeps one float64 copy of its parameters, params64, which its
+ranks refresh after every update; the forward pass reads its weights as
+views of that copy and converts nothing. Each rank's step buffers (the
+float64 weight-gradient block and the float32 gradient) live in a
+Workspace that is allocated once and reused every step.
 """
 
 from __future__ import annotations
@@ -125,48 +131,83 @@ def next_batch(data_seed: int, replica_id: int, cursor: int,
     return Batch(inputs, targets.astype(np.float32), replica_id, cursor)
 
 
-def forward_backward(state: ModelState, batch: Batch) -> tuple[float, np.ndarray]:
+def _blocks(flat: np.ndarray, dims: Dims) -> list[np.ndarray]:
+    """Views of w1, b1, w2, b2 in a flat vector laid out by layout()."""
+    return [flat[off:off + int(np.prod(shape))].reshape(shape)
+            for _name, off, shape in layout(dims)]
+
+
+class Workspace:
+    """One rank's reused forward/backward buffers.
+
+    params64 is the float64 copy of the parameters that forward_backward
+    reads; its owner keeps it equal to the float32 params. block holds one
+    float64 weight gradient at a time, and grad is the float32 gradient
+    every call returns.
+    """
+
+    def __init__(self, dims: Dims, params64: np.ndarray):
+        din, dhid, dout = dims
+        if params64.shape != (param_count(dims),) or params64.dtype != np.float64:
+            raise InvariantViolation("params64 must be a flat float64 copy of params")
+        self.dims = dims
+        self.params64 = params64
+        self.block = np.empty(max(din * dhid, dhid * dout), dtype=np.float64)
+        self.grad = np.empty(param_count(dims), dtype=np.float32)
+
+
+def forward_backward(state: ModelState, batch: Batch,
+                     ws: Workspace | None = None) -> tuple[float, np.ndarray]:
     """Mean-squared-error loss and the full flat gradient.
 
     Internally float64; the returned gradient is float32 so downstream
     reduction and optimizer arithmetic are bit-reproducible. Each float64
     block is rounded straight into its layout() slot of the flat vector.
+
+    The weights are read from ws.params64, which must equal state.params,
+    and the result is ws.grad, overwritten by the next call with the same
+    workspace. Without ws a one-off workspace converts state.params, so the
+    returned array is fresh.
     """
+    if ws is None:
+        ws = Workspace(state.dims, state.params.astype(np.float64))
     x = batch.inputs.astype(np.float64)
     t = batch.targets.astype(np.float64)
-    w1 = state.view("w1").astype(np.float64)
-    b1 = state.view("b1").astype(np.float64)
-    w2 = state.view("w2").astype(np.float64)
-    b2 = state.view("b2").astype(np.float64)
+    w1, b1, w2, b2 = _blocks(ws.params64, state.dims)
 
     h = np.tanh(x @ w1 + b1)
     y = h @ w2 + b2
     r = y - t
     loss = float(np.mean(r * r))
 
+    # The two weight gradients share ws.block: dw2 is rounded into grad
+    # before dw1 overwrites it.
+    g_w1, g_b1, g_w2, g_b2 = _blocks(ws.grad, state.dims)
     dy = (2.0 / r.size) * r
-    dw2 = h.T @ dy
-    db2 = dy.sum(axis=0)
+    g_w2[:] = np.matmul(h.T, dy, out=ws.block[:w2.size].reshape(w2.shape))
+    g_b2[:] = dy.sum(axis=0)
     dh = dy @ w2.T
     dpre = dh * (1.0 - h * h)
-    dw1 = x.T @ dpre
-    db1 = dpre.sum(axis=0)
-
-    grad = np.empty(param_count(state.dims), dtype=np.float32)
-    for (_name, off, _shape), block in zip(layout(state.dims), (dw1, db1, dw2, db2)):
-        grad[off:off + block.size] = block.reshape(-1)
-    return loss, grad
+    g_w1[:] = np.matmul(x.T, dpre, out=ws.block[:w1.size].reshape(w1.shape))
+    g_b1[:] = dpre.sum(axis=0)
+    return loss, ws.grad
 
 
 def optimizer_step(state: ModelState, opt: OptimizerState, grad: np.ndarray,
-                   lr: float) -> tuple[ModelState, OptimizerState]:
-    """SGD with momentum, in float32: m <- beta*m + g; p <- p - lr*m."""
+                   lr: float, scratch: np.ndarray | None = None
+                   ) -> tuple[ModelState, OptimizerState]:
+    """SGD with momentum, in float32: m <- beta*m + g; p <- p - lr*m.
+
+    lr*m is formed in scratch, a float32 array of the params' length; it
+    may be grad itself, which is dead once added into m. Without scratch a
+    fresh array is used and grad is left untouched.
+    """
     if grad.shape != state.params.shape:
         raise InvariantViolation(
             f"gradient length {grad.shape} != params {state.params.shape}")
     opt.momentum *= np.float32(opt.beta)
     opt.momentum += grad
-    state.params -= np.float32(lr) * opt.momentum
+    state.params -= np.multiply(np.float32(lr), opt.momentum, out=scratch)
     return state, opt
 
 

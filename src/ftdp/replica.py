@@ -1,8 +1,9 @@
 """One training replica: rank threads, commit protocol, and catch-up.
 
 A replica hosts ranks_per_replica worker threads in one process, which holds
-the replica's one copy of its parameters and momentum; each rank updates and
-serves its contiguous shard of both in place. Per iteration the leader (rank
+the replica's one copy of its parameters and momentum, and the float64 copy
+of the parameters that forward passes read; each rank updates and serves
+its contiguous shard of them in place. Per iteration the leader (rank
 0) trades a readiness report for a group decision, then every rank walks the
 same sequence of intra-replica sync points so the threads cannot deadlock:
 
@@ -242,13 +243,17 @@ class IntraGroup:
         return out
 
     def reduce_scatter(self, rank: int, vec: np.ndarray,
-                       bounds: list[tuple[int, int]]) -> np.ndarray:
-        """Sum over ranks, each rank keeping its own shard. The fold runs
-        rank 0 upward on every rank, so all replicas sum in one order."""
+                       bounds: list[tuple[int, int]],
+                       out: np.ndarray | None = None) -> np.ndarray:
+        """Sum over ranks, each rank keeping its own shard, in out if given.
+        The fold runs rank 0 upward on every rank, so all replicas sum in
+        one order."""
         self._slots[rank] = vec
         self._sync()
         off, ln = bounds[rank]
-        out = self._slots[0][off:off + ln].copy()
+        if out is None:
+            out = np.empty(ln, dtype=vec.dtype)
+        np.copyto(out, self._slots[0][off:off + ln])
         for r in range(1, self.n):
             out += self._slots[r][off:off + ln]
         self._sync()
@@ -443,7 +448,13 @@ class _RankWorker:
         off, self.len = rt.shard_bounds[rank]
         self.params_full = rt.params
         self.params_shard = rt.params[off:off + self.len]
+        self.params64_shard = rt.params64[off:off + self.len]
         self.momentum_shard = rt.momentum[off:off + self.len]
+        # Step buffers, reused every step: the forward/backward workspace,
+        # and this rank's gradient shard, which is also the ring's buffer
+        # and the optimizer's scratch.
+        self.ws = model.Workspace(rt.dims, rt.params64)
+        self.grad_shard = np.empty(self.len, dtype=np.float32)
         self.ring = ftar.RingGroup(rt.rid, rank, rt.router, plan=rt.plan,
                                    incarnation=rt.incarnation)
         self.store = checkpoint.SnapshotStore()
@@ -571,11 +582,13 @@ class _RankWorker:
             batch = model.next_batch(rt.cfg.data_seed, rt.rid, rt.cursor + self.rank,
                                      rt.cfg.topology.micro_batch, rt.dims)
             self.loss, grad_full = model.forward_backward(
-                model.ModelState(rt.dims, self.params_full, rt.step), batch)
-            grad_shard = rt.intra.reduce_scatter(self.rank, grad_full, rt.shard_bounds)
+                model.ModelState(rt.dims, self.params_full, rt.step), batch, self.ws)
+            grad_shard = rt.intra.reduce_scatter(self.rank, grad_full, rt.shard_bounds,
+                                                 self.grad_shard)
         else:
             self.loss = None
-            grad_shard = np.zeros(self.len, dtype=np.float32)
+            grad_shard = self.grad_shard
+            grad_shard.fill(0.0)
             self.start_fetch(decision, target - 1)
 
         # Phase 3: cross-replica reduction; laggers ride along with zeros.
@@ -629,14 +642,16 @@ class _RankWorker:
             model.optimizer_step(
                 model.ModelState(rt.dims, self.params_shard, rt.step),
                 model.OptimizerState(self.momentum_shard, rt.cfg.tuning.momentum_beta),
-                grad_shard, lr)
+                grad_shard, lr, scratch=grad_shard)
+            self.params64_shard[:] = self.params_shard
             self.store.capture(target, self.params_shard, self.momentum_shard)
             if self.rank == 0:
                 rt.step = target
                 if role == "healthy":
                     rt.cursor += rt.R
-            # Every shard is updated before any rank reads the whole state:
-            # rank 0's hash now, every rank's forward pass next step.
+            # Every shard, and its float64 copy, is updated before any rank
+            # reads the whole state: rank 0's hash now, every rank's forward
+            # pass next step.
             rt.intra.barrier(self.rank)
             if self.rank == 0:
                 rt.record_hash(target)
@@ -760,6 +775,9 @@ class ReplicaRuntime:
             self.params = model.init_model(self.dims, cfg.model_seed).params
             self.momentum = np.zeros(self.param_count, dtype=np.float32)
             self.step = 0
+        # The float64 copy every forward pass reads; each rank refreshes its
+        # shard of it after every update.
+        self.params64 = self.params.astype(np.float64)
 
         ledger_path = os.path.join(run_dir, "ledger.txt")
         self.cursor = initial_cursor

@@ -352,6 +352,56 @@ def test_retry_after_failure_with_fresh_generation():
         ring.close()
 
 
+def test_reused_staging_stays_exact_across_calls_and_a_retry(monkeypatch):
+    """Each group stages every all-reduce in the same buffers, so stale data
+    from an earlier call, larger or failed, must never reach a result."""
+    ring = Ring(3)
+    try:
+        ring.reconfig()
+        # cap = 64 * 2 * 3 bytes = 96 elements per partition
+        cfg = ftar.PipelineConfig(chunk_bytes=64, max_in_flight=2, per_chunk_timeout_s=5.0)
+        rng = np.random.default_rng(23)
+
+        def draw(length):
+            return [rng.standard_normal(length).astype(np.float32) for _ in range(3)]
+
+        run_case(ring, [0, 1, 2], draw(60), 1, cfg)   # one partition of 60
+        run_case(ring, [0, 1, 2], draw(250), 2, cfg)  # grows to partitions of 84
+
+        # Member 2 fails at the start of partition 2 of 5, after 0 and 1.
+        real = ftar._reduce_partition
+
+        def fail_member_2(group, buf, part_idx, *args):
+            if group is ring.groups[2] and part_idx == 2:
+                raise errors.Recoverable(errors.PEER_RESET, "scripted failure")
+            real(group, buf, part_idx, *args)
+
+        monkeypatch.setattr(ftar, "_reduce_partition", fail_member_2)
+        arrays = draw(400)
+        bufs = {rid: arrays[rid].copy() for rid in range(3)}
+        results = ring.all_reduce(bufs, 3, cfg, [0, 1, 2])
+        monkeypatch.undo()
+        assert all(isinstance(results[rid], errors.Recoverable) for rid in range(3))
+        expect = oracle_reduce(arrays, cfg.chunk_bytes, cfg.max_in_flight)
+        plan = ftar.build_partition_plan(400 * 4, cfg, 3)
+        assert len(plan.partitions) == 5
+        for rid in range(3):
+            landed = []
+            for off, ln in plan.partitions:
+                got = bufs[rid][off:off + ln]
+                if np.array_equal(got, expect[off:off + ln]):
+                    landed.append(True)
+                else:
+                    np.testing.assert_array_equal(got, arrays[rid][off:off + ln])
+                    landed.append(False)
+            assert landed[0] and not any(landed[2:]), (rid, landed)
+
+        ring.reconfig()
+        run_case(ring, [0, 1, 2], arrays, 3, cfg)
+    finally:
+        ring.close()
+
+
 def test_stale_generation_frames_are_dropped():
     ring = Ring(2)
     try:

@@ -78,6 +78,10 @@ def _concatenated_grad(state, batch):
 
 @pytest.mark.parametrize("dims", [DIMS, (64, 96, 48)])
 def test_gradient_bits_match_concatenated_reference(dims):
+    # One workspace serves every trial, as a rank's does every step: its
+    # float64 weights are refreshed in place and its buffers reused.
+    params64 = np.empty(model.param_count(dims), dtype=np.float64)
+    ws = model.Workspace(dims, params64)
     for trial in range(3):
         st = model.init_model(dims, 11 + trial)
         st.params += np.float32(0.01)  # non-zero biases
@@ -86,6 +90,10 @@ def test_gradient_bits_match_concatenated_reference(dims):
         want = _concatenated_grad(st, batch)
         assert grad.dtype == np.float32 and grad.shape == want.shape
         assert np.array_equal(grad.view(np.uint32), want.view(np.uint32))
+        params64[:] = st.params
+        _, reused = model.forward_backward(st, batch, ws)
+        assert reused is ws.grad and reused is not grad
+        assert np.array_equal(reused.view(np.uint32), want.view(np.uint32))
 
 
 def _spawned_env(monkeypatch, tmp_path):

@@ -3,6 +3,7 @@ death machinery, and full-cluster trajectories checked bitwise against a
 serial reference."""
 
 import os
+import sys
 import threading
 import time
 
@@ -439,10 +440,58 @@ def test_catch_up_run_keeps_one_state_copy_and_never_gathers(tmp_path, monkeypat
         assert model.hash_state(rt.params, rt.momentum, 10) == hashes[(10, rid)]
 
 
+def test_forward_passes_read_current_float64_weights(tmp_path, monkeypatch):
+    """Every forward pass reads float64 weights equal to the float32 params,
+    through a kill, a catch-up, healthy steps after it, and a restore. A
+    stale copy would not show in the digests: the ring sums every replica's
+    gradient, so the replicas would still agree with each other."""
+    real = model.forward_backward
+    calls = []  # (replica, cursor, weights current)
+
+    def checked(state, batch, ws=None):
+        current = ws is not None and np.array_equal(
+            ws.params64.astype(np.float32).view(np.uint32), state.params.view(np.uint32))
+        calls.append((batch.replica_id, batch.cursor, current))
+        return real(state, batch, ws)
+
+    monkeypatch.setattr(model, "forward_backward", checked)
+    cfg = quick_scenario(num_replicas=3, ranks=2, total_steps=10, interval=3,
+                         failures=[kill_failure(3, 3, (2,))])
+    dir_a = str(tmp_path / "kill")
+    cluster = Cluster(cfg, dir_a)
+    # Rank threads switch often, so a forward pass that raced a sibling's
+    # refresh would see a half-written copy.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        codes = cluster.run(timeout_s=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert codes == {0: 0, 1: 0, 2: 0}
+    assert any(r["replica_id"] == 2 and r["event"] == "catch-up"
+               for r in read_metrics(dir_a))
+    # Replica 2 stepped as healthy after its catch-up at step 6: its
+    # steps 7-10 read cursors 4 to 11.
+    assert {c for rid, c, _ in calls if rid == 2} >= set(range(4, 12))
+    assert all(current for _, _, current in calls)
+
+    from ftdp.checkpoint import restore_cursors
+
+    calls.clear()
+    restored_cfg = quick_scenario(num_replicas=3, ranks=2, total_steps=10, interval=3)
+    cursors = restore_cursors(os.path.join(dir_a, "ledger.txt"), 6, 3)
+    resumed = Cluster(restored_cfg, str(tmp_path / "resumed"),
+                      restore=(os.path.join(dir_a, "checkpoints"), 6, cursors))
+    assert resumed.run(timeout_s=60) == {0: 0, 1: 0, 2: 0}
+    assert {rid for rid, _, _ in calls} == {0, 1, 2}
+    assert all(current for _, _, current in calls)
+
+
 def test_kill_run_is_bitwise_deterministic(tmp_path):
     cfg = quick_scenario(num_replicas=3, ranks=1, total_steps=8,
                          failures=[kill_failure(3, 2, (2,))])
     histories = []
+    ledgers = []
     for i in range(2):
         run_dir = str(tmp_path / f"run{i}")
         cluster = Cluster(cfg, run_dir)
@@ -451,9 +500,13 @@ def test_kill_run_is_bitwise_deterministic(tmp_path):
         cluster.validate_ledger()
         assert_replicas_agree(run_dir)
         histories.append(digest_history(run_dir))
+        # Replicas append to one file, so its line order is a race; sorted
+        # by (step, replica) the ledgers must match.
+        ledgers.append(sorted(cluster.ledger_entries()))
     assert set(histories[0]) == set(histories[1])
     for step in histories[0]:
         assert histories[0][step] == histories[1][step], f"diverged at step {step}"
+    assert ledgers[0] == ledgers[1]
 
 
 def test_hung_rank_sheds_whole_replica(tmp_path):
