@@ -143,7 +143,8 @@ class Workspace:
     params64 is the float64 copy of the parameters that forward_backward
     reads; its owner keeps it equal to the float32 params. block holds one
     float64 weight gradient at a time, and grad is the float32 gradient
-    every call returns.
+    every call returns. The w1, b1, w2, b2 views of params64 (weights), of
+    grad (grads) and of block (dw1, dw2) are built here once.
     """
 
     def __init__(self, dims: Dims, params64: np.ndarray):
@@ -154,6 +155,10 @@ class Workspace:
         self.params64 = params64
         self.block = np.empty(max(din * dhid, dhid * dout), dtype=np.float64)
         self.grad = np.empty(param_count(dims), dtype=np.float32)
+        self.weights = _blocks(params64, dims)
+        self.grads = _blocks(self.grad, dims)
+        self.dw1 = self.block[:din * dhid].reshape(din, dhid)
+        self.dw2 = self.block[:dhid * dout].reshape(dhid, dout)
 
 
 def forward_backward(state: ModelState, batch: Batch,
@@ -173,7 +178,7 @@ def forward_backward(state: ModelState, batch: Batch,
         ws = Workspace(state.dims, state.params.astype(np.float64))
     x = batch.inputs.astype(np.float64)
     t = batch.targets.astype(np.float64)
-    w1, b1, w2, b2 = _blocks(ws.params64, state.dims)
+    w1, b1, w2, b2 = ws.weights
 
     h = np.tanh(x @ w1 + b1)
     y = h @ w2 + b2
@@ -182,13 +187,13 @@ def forward_backward(state: ModelState, batch: Batch,
 
     # The two weight gradients share ws.block: dw2 is rounded into grad
     # before dw1 overwrites it.
-    g_w1, g_b1, g_w2, g_b2 = _blocks(ws.grad, state.dims)
+    g_w1, g_b1, g_w2, g_b2 = ws.grads
     dy = (2.0 / r.size) * r
-    g_w2[:] = np.matmul(h.T, dy, out=ws.block[:w2.size].reshape(w2.shape))
+    g_w2[:] = np.matmul(h.T, dy, out=ws.dw2)
     g_b2[:] = dy.sum(axis=0)
     dh = dy @ w2.T
     dpre = dh * (1.0 - h * h)
-    g_w1[:] = np.matmul(x.T, dpre, out=ws.block[:w1.size].reshape(w1.shape))
+    g_w1[:] = np.matmul(x.T, dpre, out=ws.dw1)
     g_b1[:] = dpre.sum(axis=0)
     return loss, ws.grad
 

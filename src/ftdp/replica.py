@@ -7,8 +7,13 @@ its contiguous shard of them in place. Per iteration the leader (rank
 0) trades a readiness report for a group decision, then every rank walks the
 same sequence of intra-replica sync points so the threads cannot deadlock:
 
-    decision broadcast -> link-status exchange -> compute ->
-    reduce status exchange -> outcome broadcast -> (on commit) update barrier
+    decision broadcast -> (on a ring rebuild) link-status exchange ->
+    compute and reduce-scatter (healthy only) -> reduce status exchange ->
+    outcome broadcast -> (on commit) update barrier
+
+Each sync point is one wait (see IntraGroup). A steady healthy step costs
+every rank five waits and a ring rebuild one more; a lagging step skips the
+reduce-scatter, and the update barrier too unless it installs.
 
 Healthy replicas compute gradients from their own batch cursor, reduce them
 intra-replica, then across same-rank peers on the ring. Lagging replicas join
@@ -202,45 +207,72 @@ class FilePortBook(AddressBook):
 
 
 class IntraGroup:
-    """Barrier-paired collectives for the rank threads of one replica.
+    """Collectives for the rank threads of one replica, one wait each.
 
-    Every operation but barrier is two waits around a shared slot array:
-    publish, sync, read, sync. The second wait keeps a fast rank from
-    clobbering slots of an operation a slow rank is still reading. abort()
-    breaks current and future waits so a dying replica unwinds all its ranks.
+    Every operation but barrier publishes into one of two slot arrays, waits
+    once, then reads. The arrays alternate by a per-rank operation count, so
+    a fast rank fills operation k+1's array while a slow sibling still reads
+    operation k's. That is safe because a rank writes k's array again only
+    at k+2, after passing k+1's wait, which its siblings reach only once
+    they have read k. For the same reason an array a rank publishes (its
+    gradient in reduce_scatter) must stay untouched until that rank has
+    passed one more wait.
+
+    The wait is a counter and a generation under one lock (Mellor-Crummey
+    and Scott, TOCS 1991). abort() makes current and future waits raise
+    _Halt, so a dying replica unwinds all its ranks.
     """
 
     def __init__(self, n_ranks: int):
         self.n = n_ranks
-        self._barrier = threading.Barrier(n_ranks)
-        self._slots: list = [None] * n_ranks
+        self._cond = threading.Condition(threading.Lock())
+        self._arrived = 0
+        self._generation = 0
+        self._broken = False
+        self._slots = ([None] * n_ranks, [None] * n_ranks)
+        self._ops = [0] * n_ranks
 
     def _sync(self) -> None:
-        try:
-            self._barrier.wait()
-        except threading.BrokenBarrierError as exc:
-            raise _Halt() from exc
+        with self._cond:
+            if self._broken:
+                raise _Halt()
+            self._arrived += 1
+            if self._arrived == self.n:
+                self._arrived = 0
+                self._generation += 1
+                self._cond.notify_all()
+                return
+            gen = self._generation
+            while gen == self._generation:
+                if self._broken:
+                    raise _Halt()
+                self._cond.wait()
+
+    def _next_slots(self, rank: int) -> list:
+        k = self._ops[rank]
+        self._ops[rank] = k + 1
+        return self._slots[k & 1]
 
     def abort(self) -> None:
-        self._barrier.abort()
+        with self._cond:
+            self._broken = True
+            self._cond.notify_all()
 
     def barrier(self, rank: int) -> None:
         self._sync()
 
     def broadcast(self, rank: int, value=None):
+        slots = self._next_slots(rank)
         if rank == 0:
-            self._slots[0] = value
+            slots[0] = value
         self._sync()
-        out = self._slots[0]
-        self._sync()
-        return out
+        return slots[0]
 
     def exchange(self, rank: int, value) -> list:
-        self._slots[rank] = value
+        slots = self._next_slots(rank)
+        slots[rank] = value
         self._sync()
-        out = list(self._slots)
-        self._sync()
-        return out
+        return list(slots)
 
     def reduce_scatter(self, rank: int, vec: np.ndarray,
                        bounds: list[tuple[int, int]],
@@ -248,26 +280,26 @@ class IntraGroup:
         """Sum over ranks, each rank keeping its own shard, in out if given.
         The fold runs rank 0 upward on every rank, so all replicas sum in
         one order."""
-        self._slots[rank] = vec
+        slots = self._next_slots(rank)
+        slots[rank] = vec
         self._sync()
         off, ln = bounds[rank]
         if out is None:
             out = np.empty(ln, dtype=vec.dtype)
-        np.copyto(out, self._slots[0][off:off + ln])
+        np.copyto(out, slots[0][off:off + ln])
         for r in range(1, self.n):
-            out += self._slots[r][off:off + ln]
-        self._sync()
+            out += slots[r][off:off + ln]
         return out
 
     # Nothing in ftdp calls all_gather; perfbench's trace hook wraps it by name.
     def all_gather(self, rank: int, shard: np.ndarray,
                    bounds: list[tuple[int, int]], total: int) -> np.ndarray:
-        self._slots[rank] = shard
+        slots = self._next_slots(rank)
+        slots[rank] = shard
         self._sync()
         full = np.empty(total, dtype=np.float32)
         for r, (off, ln) in enumerate(bounds):
-            full[off:off + ln] = self._slots[r]
-        self._sync()
+            full[off:off + ln] = slots[r]
         return full
 
 
@@ -559,9 +591,13 @@ class _RankWorker:
         if target > rt.cfg.total_steps:
             return False
 
-        # Phase 1: make the data plane match the decision.
-        rc_ok = True
+        # Phase 1: make the data plane match the decision. Only a rebuild can
+        # fail, so only a rebuild is followed by a link-status exchange. Every
+        # rank rebuilt its ring for the same past decisions, so all agree on
+        # whether this one rebuilds.
+        link_ok = True
         if decision.generation > self.ring.generation:
+            rc_ok = True
             try:
                 addrs = {m: rt.book.lookup(m, self.rank) for m in decision.members}
                 self.ring.reconfig(addrs, decision.generation,
@@ -572,7 +608,7 @@ class _RankWorker:
                 rc_ok = False
             if self.rank == 0:
                 rc_ok = rt.ctrl.reconfig(decision) and rc_ok
-        link_ok = all(rt.intra.exchange(self.rank, rc_ok))
+            link_ok = all(rt.intra.exchange(self.rank, rc_ok))
 
         # Phase 2: compute (healthy) or zero-contribute and pull (lagging).
         if role == "healthy":

@@ -96,6 +96,31 @@ def test_gradient_bits_match_concatenated_reference(dims):
         assert np.array_equal(reused.view(np.uint32), want.view(np.uint32))
 
 
+def test_workspace_views_alias_its_buffers():
+    """The workspace builds its weight, gradient and block views once; they
+    alias its buffers, so a reused workspace returns the bits of a one-off."""
+    dims = (6, 9, 4)
+    st = model.init_model(dims, 21)
+    st.params += np.float32(0.02)
+    ws = model.Workspace(dims, st.params.astype(np.float64))
+    for views, flat in ((ws.weights, ws.params64), (ws.grads, ws.grad)):
+        assert [v.shape for v in views] == [shape for _n, _o, shape in model.layout(dims)]
+        for v, (_name, off, shape) in zip(views, model.layout(dims)):
+            assert np.shares_memory(v, flat)
+            assert v.__array_interface__["data"][0] == (
+                flat.__array_interface__["data"][0] + off * flat.itemsize)
+    assert np.shares_memory(ws.dw1, ws.block) and np.shares_memory(ws.dw2, ws.block)
+    for cursor in range(3):
+        batch = model.next_batch(5, 1, cursor, 7, dims)
+        loss, fresh = model.forward_backward(st, batch)
+        loss_ws, reused = model.forward_backward(st, batch, ws)
+        assert reused is ws.grad
+        assert loss_ws == loss
+        assert np.array_equal(reused.view(np.uint32), fresh.view(np.uint32))
+        st.params -= np.float32(0.1) * fresh
+        ws.params64[:] = st.params  # the owner's refresh, in place
+
+
 def _spawned_env(monkeypatch, tmp_path):
     """Environment _spawn_worker hands to the worker process."""
     seen = {}

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from ftdp import model, transport, wire
+from ftdp import checkpoint, model, transport, wire
 from ftdp.errors import PEER_DOWN, Recoverable
 from ftdp.quorum import Decision
 from ftdp.replica import (
@@ -22,6 +22,7 @@ from ftdp.replica import (
     StaticBook,
     Watchdog,
     _Halt,
+    _RankWorker,
 )
 from helpers import (
     Cluster,
@@ -133,6 +134,82 @@ def test_abort_unblocks_waiters_as_halt():
         g.broadcast(0, 1)  # barrier stays broken
     with pytest.raises(_Halt):
         g.barrier(0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_wait_ops_read_their_own_values_under_reuse(n):
+    """Thousands of mixed one-wait operations with random per-rank sleeps.
+    Each rank must read exactly its own operation's values, although every
+    publisher scribbles over what it published before its last wait the
+    moment an operation returns: the two alternating slot arrays are all
+    that keeps a fast rank's next operation off a slow rank's read."""
+    ops, length = 4000, 12
+    kinds = np.random.default_rng(n).choice(
+        ["broadcast", "exchange", "reduce_scatter", "barrier"], size=ops)
+    cut = length // n
+    bounds = [(r * cut, cut if r < n - 1 else length - (n - 1) * cut) for r in range(n)]
+    base = np.arange(length, dtype=np.float32)
+    g = IntraGroup(n)
+    errors = []
+
+    def value(k, r):
+        return base + np.float32(k * n + r)  # small integers: every sum is exact
+
+    def check(r, k, kind):
+        if kind == "barrier":
+            g.barrier(r)
+            return None, True
+        if kind == "broadcast":
+            mine = [k] if r == 0 else None
+            got = g.broadcast(r, mine)
+            return mine, got == [k]
+        if kind == "exchange":
+            mine = [k, r]
+            got = g.exchange(r, mine)
+            return mine, got == [[k, q] for q in range(n)]
+        mine = value(k, r)
+        got = g.reduce_scatter(r, mine, bounds)
+        off, ln = bounds[r]
+        want = value(k, 0)[off:off + ln]
+        for q in range(1, n):
+            want += value(k, q)[off:off + ln]
+        return mine, np.array_equal(got, want)
+
+    def rank_main(r):
+        rng = np.random.default_rng(100 + r)
+        earlier = None  # published before this rank's last wait
+        try:
+            for k, kind in enumerate(kinds):
+                if rng.random() < 0.3:
+                    time.sleep(float(rng.uniform(0, 2e-4)))
+                mine, ok = check(r, k, kind)
+                if not ok:
+                    errors.append((r, k, str(kind)))
+                    g.abort()
+                    return
+                if isinstance(earlier, list):
+                    earlier[:] = [-1]
+                elif earlier is not None:
+                    earlier.fill(np.nan)
+                earlier = mine
+        except _Halt:
+            pass
+        except Exception as exc:  # noqa: BLE001 - a torn read can raise too
+            errors.append((r, repr(exc)))
+            g.abort()
+
+    threads = [threading.Thread(target=rank_main, args=(r,)) for r in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # ranks interleave often inside an operation
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads), "rank thread hung"
+    assert errors == []
 
 
 # ------------------------------------------------------------ Mortality
@@ -485,6 +562,75 @@ def test_forward_passes_read_current_float64_weights(tmp_path, monkeypatch):
     assert resumed.run(timeout_s=60) == {0: 0, 1: 0, 2: 0}
     assert {rid for rid, _, _ in calls} == {0, 1, 2}
     assert all(current for _, _, current in calls)
+
+
+def test_intra_waits_per_rank_per_step(tmp_path, monkeypatch):
+    """The wait budget of a step: counts every rank's IntraGroup waits per
+    decision epoch of a 2x2 cluster. A steady healthy step costs 5 waits (a
+    decision, a reduce-scatter, a status exchange, an outcome and the update
+    barrier), and a ring rebuild adds its link-status exchange. A lagging
+    step costs 3, plus the update barrier if it installs its pulled state
+    and the link-status exchange on a rebuild. Replica 1 is killed at step 3
+    and rejoins at step 6. Its first pull fails, so it lags on the rebuild
+    step and installs on a later, steady step, for 4 waits each."""
+    local = threading.local()
+    records = []  # (replica, rank, role, committed, rebuilt, installed, waits)
+    real_sync = IntraGroup._sync
+    real_broadcast = IntraGroup.broadcast
+    real_iterate = _RankWorker.iterate
+    real_fetch = checkpoint.fetch_shard
+    failed = set()
+
+    def counting_sync(self):
+        local.waits = getattr(local, "waits", 0) + 1
+        real_sync(self)
+
+    def recording_broadcast(self, rank, value=None):
+        out = real_broadcast(self, rank, value)
+        local.seen.append(out)
+        return out
+
+    def counted_iterate(self):
+        local.waits, local.seen = 0, []
+        gen = self.ring.generation
+        more = real_iterate(self)
+        if len(local.seen) == 2:  # the epoch reached its outcome
+            decision, committed = local.seen
+            records.append((self.rt.rid, self.rank, decision.role_of(self.rt.rid),
+                            committed, self.ring.generation > gen,
+                            self.rt.step == decision.target_step, local.waits))
+        return more
+
+    def first_pull_fails(addr, step, rank, *args, **kwargs):
+        if rank not in failed:
+            failed.add(rank)
+            raise checkpoint.SnapshotUnavailable(None)
+        return real_fetch(addr, step, rank, *args, **kwargs)
+
+    monkeypatch.setattr(IntraGroup, "_sync", counting_sync)
+    monkeypatch.setattr(IntraGroup, "broadcast", recording_broadcast)
+    monkeypatch.setattr(_RankWorker, "iterate", counted_iterate)
+    monkeypatch.setattr(checkpoint, "fetch_shard", first_pull_fails)
+    cfg = quick_scenario(num_replicas=2, ranks=2, total_steps=12,
+                         failures=[kill_failure(3, 3, (1,))])
+    cluster = Cluster(cfg, str(tmp_path))
+    assert cluster.run(timeout_s=60) == {0: 0, 1: 0}
+    cluster.validate_ledger()
+    assert_replicas_agree(str(tmp_path))
+    assert {(rid, k) for rid, k, *_ in records} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+    def waits(role, rebuilt, installed=True):
+        return {w for _rid, _k, ro, c, rb, inst, w in records
+                if c and ro == role and rb == rebuilt and inst == installed}
+
+    assert waits("healthy", False) == {5}
+    assert waits("healthy", True) == {6}
+    assert waits("behind", True, installed=False) == {4}
+    assert waits("behind", False) == {4}
+    assert waits("behind", True) == set()  # the pull on the rebuild step failed
+    # A pull that lost its race with the donor's next commit leaves a
+    # steady lagging step without its update barrier.
+    assert waits("behind", False, installed=False) <= {3}
 
 
 def test_kill_run_is_bitwise_deterministic(tmp_path):
