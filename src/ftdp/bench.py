@@ -88,9 +88,7 @@ class _LoopbackRing:
         for g in self.groups:
             g.close_links()
         for r in self.routers:
-            r.stop()
-        for ls in self.listeners:
-            ls.close()
+            r.stop()  # closes its listener
 
 
 def bench_ftar(group_sizes=(2, 4), sizes_mib=(4, 16), reps: int = 3,

@@ -5,7 +5,8 @@ Three cooperating pieces:
 * In-memory snapshots, retention exactly one: at every commit (and once at
   startup) each rank records the step and views of its live shard, so a
   lagging replica can fetch state peer-to-peer while the group trains on.
-  A fetch copies the shard with no lock held. One that overlaps the rank's
+  The donor's I/O thread (transport.ConnectionRouter) answers a fetch; it
+  copies the shard with no lock held. One that overlaps the rank's
   update, or arrives after the group moved on, is answered with what is
   available; the fetcher treats it as "catch up next step", not an error.
 
@@ -36,20 +37,13 @@ from ftdp.errors import (
     PEER_DOWN,
     PROTOCOL_VIOLATION,
     Recoverable,
+    SnapshotUnavailable,
 )
 
 MAGIC = b"PAFTCKPT"
 _SHARD_HDR = struct.Struct("<IQIQQ")  # version, step, rank, params_len, momentum_len
 _FETCH_BODY = struct.Struct("<QQ")  # params_len, momentum_len
 VERSION = 1
-
-
-class SnapshotUnavailable(Exception):
-    """The donor no longer (or does not yet) hold the requested step."""
-
-    def __init__(self, available: int | None):
-        super().__init__(f"snapshot unavailable (donor holds {available})")
-        self.available = available
 
 
 class SnapshotStore:
@@ -93,41 +87,6 @@ class SnapshotStore:
         return body[len(head):len(head) + len(params)], body[len(head) + len(params):]
 
 
-def serve_fetches(router: transport.ConnectionRouter, store: SnapshotStore,
-                  stop: threading.Event, pred=None) -> None:
-    """Thread target: answer one state request per inbound fetch connection.
-
-    pred filters hellos, so several servers (one per rank, each with its own
-    store) can share one router without stealing each other's requests.
-    """
-    while not stop.is_set():
-        try:
-            _hello, conn = router.take(wire.HELLO_FETCH, pred, timeout=0.25)
-        except Recoverable:
-            continue
-        threading.Thread(target=_handle_fetch, args=(conn, store), daemon=True).start()
-
-
-def _handle_fetch(conn: transport.Connection, store: SnapshotStore) -> None:
-    try:
-        frame = conn.recv_frame(timeout=transport.DEFAULT_TIMEOUT_S,
-                                max_len=wire.FETCH_REQ_LEN)
-        if frame.msg_type != wire.FETCH_STATE_REQ:
-            return
-        step, rank = wire.decode_fetch_req(frame.payload)
-        try:
-            params, _momentum = store.get(step)
-            held, body = step, params.obj
-        except SnapshotUnavailable as exc:
-            held, body = exc.available or 0, b""
-        conn.send_frame(wire.FETCH_STATE_RESP, step, 0, body,
-                        head=wire.encode_fetch_resp_head(held, rank, len(body)))
-    except (Recoverable, Fatal):
-        pass
-    finally:
-        conn.close()
-
-
 def fetch_shard(addr: transport.PeerAddress, step: int, rank: int,
                 replica_id: int, incarnation: int, shard_len: int,
                 timeout_s: float = transport.DEFAULT_TIMEOUT_S,
@@ -135,7 +94,8 @@ def fetch_shard(addr: transport.PeerAddress, step: int, rank: int,
     """Pull views of (params, momentum) for one rank's shard of a committed step.
 
     shard_len is the shard's length in float32 elements; a response frame
-    longer than such a shard needs is Fatal before it is buffered.
+    longer than such a shard needs is Fatal before it is buffered. The
+    donor names the rank whose shard it sends, which must be rank.
     """
     conn = transport.connect(addr, wire.HELLO_FETCH,
                              (replica_id, rank, incarnation, 0),

@@ -51,3 +51,11 @@ class ConfigError(Exception):
 
 class InvariantViolation(Exception):
     """A checked run invariant failed. Maps to exit code 3."""
+
+
+class SnapshotUnavailable(Exception):
+    """A fetch donor no longer (or does not yet) hold the requested step."""
+
+    def __init__(self, available: int | None):
+        super().__init__(f"snapshot unavailable (donor holds {available})")
+        self.available = available

@@ -29,8 +29,10 @@ retry recomputes the same step from unchanged cursors after the next
 decision; consumption stays exactly-once because the shared ledger line is
 appended only around the commit edge, before anything irreversible.
 
-All sockets of a replica share one listener; inbound streams are routed by
-their hello (purpose, rank, generation). Scripted faults arm off decision
+Beside the rank threads, the main thread joins them and watches their
+progress (watch_ranks), and one I/O thread (transport.ConnectionRouter)
+owns the listener: it routes inbound streams by their hello (purpose, rank,
+generation) and serves state fetches. Scripted faults arm off decision
 values, so every run of a scenario sees them at identical logical times.
 """
 
@@ -106,36 +108,22 @@ class Mortality:
         raise _Halt()
 
 
-class Watchdog(threading.Thread):
-    """Kills the process when any rank stops making progress.
-
-    Progress marks are wall-clock stamps the ranks refresh at their sync
-    points; a wedged rank (or a thread stuck on a dead barrier) stops
-    refreshing and the whole replica is taken down so the group can drop it
-    cleanly instead of stalling on half a replica.
-    """
-
-    def __init__(self, mortality: Mortality, progress: list[float], limit_s: float):
-        super().__init__(daemon=True, name="watchdog")
-        self.mortality = mortality
-        self.progress = progress
-        self.limit_s = limit_s
-        self._stopped = threading.Event()
-
-    def stop(self) -> None:
-        self._stopped.set()
-
-    def run(self) -> None:
-        while not self._stopped.wait(0.2):
-            if self.mortality.dying.is_set():
-                return
-            stale = time.monotonic() - min(self.progress)
-            if stale > self.limit_s:
+def watch_ranks(threads: list[threading.Thread], mortality: Mortality,
+                progress: list[float], limit_s: float) -> None:
+    """Join the rank threads; every 0.2 s, take the whole replica down if a
+    rank's progress mark, a wall-clock stamp it refreshes at its sync points,
+    is older than limit_s. The group then drops a wedged rank's replica
+    cleanly instead of stalling on half a replica."""
+    for t in threads:
+        while t.is_alive():
+            t.join(timeout=0.2)
+            stale = time.monotonic() - min(progress)
+            if stale > limit_s and not mortality.dying.is_set():
                 log.error("watchdog: no progress for %.1fs, dying", stale)
                 try:
-                    self.mortality.die(EXIT_FATAL)
+                    mortality.die(EXIT_FATAL)
                 except _Halt:
-                    return
+                    pass
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +477,7 @@ class _RankWorker:
         self.grad_shard = np.empty(self.len, dtype=np.float32)
         self.ring = ftar.RingGroup(rt.rid, rank, rt.router, plan=rt.plan,
                                    incarnation=rt.incarnation)
-        self.store = checkpoint.SnapshotStore()
+        self.store = rt.stores[rank]
         self.loss: float | None = None
         self.fetched: _Fetched | None = None
         self._fetch_thread: threading.Thread | None = None
@@ -557,7 +545,7 @@ class _RankWorker:
                 log.info("replica %d rank %d: scripted hang at step %d",
                          rt.rid, self.rank, f.at_step)
                 while not rt.mortality.dying.wait(0.05):
-                    pass  # starve the watchdog; it exits the process
+                    pass  # mark no progress; the main thread's check exits the process
                 raise _Halt()
 
     def iterate(self) -> bool:
@@ -714,13 +702,6 @@ class _RankWorker:
 
     def run(self) -> None:
         rt = self.rt
-        stop = rt.stop_serving
-        server = threading.Thread(
-            target=checkpoint.serve_fetches,
-            args=(rt.router, self.store, stop),
-            kwargs={"pred": (lambda h, r=self.rank: h.rank_id == r)},
-            daemon=True, name=f"fetchsrv-r{rt.rid}k{self.rank}")
-        server.start()
         try:
             if self.rank == 0:
                 rt.client = QuorumClient(
@@ -794,8 +775,10 @@ class ReplicaRuntime:
                          if f.kind != "drop_links"]
         self.fired: set[int] = set()
 
+        # Each rank's last committed shard, served to fetches by the router.
+        self.stores = [checkpoint.SnapshotStore() for _ in range(self.R)]
         self.listener = listener or transport.Listener()
-        self.router = transport.ConnectionRouter(self.listener).start()
+        self.router = transport.ConnectionRouter(self.listener, self.stores).start()
         self.mortality.register_closer(self.router.stop)
 
         # Step/cursor/state this replica can vouch for at startup; one copy.
@@ -822,8 +805,6 @@ class ReplicaRuntime:
                 self.cursor = cursor_
         self.ledger = checkpoint.LoaderLedger(ledger_path)
 
-        self.stop_serving = threading.Event()
-        self.mortality.register_closer(self.stop_serving.set)
         self.progress = [time.monotonic()] * self.R
         self.decision: Decision | None = None
         self.outcome = False
@@ -879,18 +860,12 @@ class ReplicaRuntime:
             {"step": step, "replica_id": self.rid, "hash": digest}) + "\n")
 
     def run(self) -> int:
-        watchdog = Watchdog(self.mortality, self.progress, self.cfg.timeouts.watchdog_s)
-        watchdog.start()
         threads = [threading.Thread(target=w.run, daemon=True,
                                     name=f"rank-r{self.rid}k{w.rank}")
                    for w in self.workers]
         for t in threads:
             t.start()
-        for t in threads:
-            while t.is_alive():
-                t.join(timeout=0.5)
-        watchdog.stop()
-        self.stop_serving.set()
+        watch_ranks(threads, self.mortality, self.progress, self.cfg.timeouts.watchdog_s)
         self.router.stop()
         if self.client is not None:
             self.client.close()

@@ -16,9 +16,11 @@ logical clock observed from quorum decisions, so runs stay reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import logging
 import select
+import selectors
 import socket
 import threading
 import time
@@ -32,6 +34,7 @@ from ftdp.errors import (
     PEER_RESET,
     PROTOCOL_VIOLATION,
     Recoverable,
+    SnapshotUnavailable,
     TIMEOUT,
 )
 
@@ -151,16 +154,14 @@ class Connection:
     # -- framed IO ----------------------------------------------------------
 
     def send_frame(self, msg_type: int, step: int = 0, seq: int = 0,
-                   payload: bytes = b"", timeout: float = DEFAULT_TIMEOUT_S,
-                   head: bytes = b"") -> None:
-        """Send one frame whose payload is head followed by payload.
-
-        payload may be any buffer whose len() counts bytes, such as a byte
-        memoryview of an array: it is written from where it lies, after the
-        frame header and head, in one sendmsg and without a copy.
+                   payload: bytes = b"", timeout: float = DEFAULT_TIMEOUT_S) -> None:
+        """Send one frame. payload may be any buffer whose len() counts
+        bytes, such as a byte memoryview of an array: it is written from
+        where it lies, after the frame header, in one sendmsg and without a
+        copy.
         """
-        data = wire.encode_frame_head(msg_type, step, seq, len(head) + len(payload)) + head
-        rest = self.send_some((data, payload))
+        head = wire.encode_frame_head(msg_type, step, seq, len(payload))
+        rest = self.send_some((head, payload))
         if not rest:
             return
         deadline = time.monotonic() + timeout
@@ -225,6 +226,12 @@ class Connection:
         if self._black_holed():
             time.sleep(timeout)
             raise Recoverable(TIMEOUT, f"recv from {self.peer}: black-holed")
+        return self.poll_frame(max_len, deadline)
+
+    def poll_frame(self, max_len: int, deadline: float | None = None) -> wire.Frame | None:
+        """The next whole frame, bounded by max_len as in recv_frame. With
+        deadline None it reads only what has arrived and returns None if the
+        frame is not all in; otherwise it waits for it until deadline."""
         # Consumed bytes are parked in _rxbuf and only removed once a whole
         # frame is present. A timeout mid-frame must leave the stream in
         # place: dropping a half-read frame would make the next call parse
@@ -239,7 +246,8 @@ class Connection:
                     frame = wire.decode_frame(bytes(buf[4:4 + total]))
                     del buf[:4 + total]
                     return frame
-            self._fill(deadline)
+            if not self._fill(deadline):
+                return None
 
     @property
     def buffered(self) -> int:
@@ -418,14 +426,6 @@ class Listener:
         self.sock.listen(backlog)
         self.host, self.port = self.sock.getsockname()
 
-    def accept(self, timeout: float | None = None) -> socket.socket:
-        self.sock.settimeout(timeout)
-        try:
-            sock, _ = self.sock.accept()
-            return sock
-        except socket.timeout as exc:
-            raise Recoverable(TIMEOUT, "accept timed out") from exc
-
     def close(self) -> None:
         try:
             self.sock.close()
@@ -433,54 +433,137 @@ class Listener:
             pass
 
 
-class ConnectionRouter:
-    """Accept loop for a rank's single listener.
+@dataclass
+class _Inbound:
+    """An accepted connection still in the I/O loop's hands."""
+    conn: Connection
+    deadline: float
+    hello: Hello | None = None
+    rest: list | None = None  # fetch response parts not yet written
 
-    Each inbound connection announces itself with a hello frame; the router
-    parks it in a per-purpose bucket until the owning logic claims it with
-    take(). Claiming transfers ownership; the router never reads a
-    connection past its hello.
+
+class ConnectionRouter:
+    """The I/O thread of a process: one selectors loop over its listener.
+
+    The loop accepts and reads each hello without blocking, closing a dialer
+    with no whole hello in by DEFAULT_TIMEOUT_S. Ring, ctrl and quorum links
+    are parked per purpose until take() claims one, which transfers
+    ownership. Given stores, the replica's SnapshotStore of each rank, the
+    loop serves fetches itself: it reads the request, then writes the hello
+    rank's shard as the socket drains, each under a fresh DEFAULT_TIMEOUT_S
+    deadline. Without stores it parks fetch hellos too. Any other hello, a
+    fetch for a rank it does not hold, or a request for another rank than
+    the hello's is closed at once.
     """
 
-    def __init__(self, listener: Listener, plan: FaultPlan | None = None):
+    def __init__(self, listener: Listener, stores: list | None = None):
         self.listener = listener
-        self.plan = plan
+        self.stores = stores
+        self._parked = {wire.HELLO_RING, wire.HELLO_CTRL, wire.HELLO_QUORUM}
+        if stores is None:
+            self._parked.add(wire.HELLO_FETCH)
         self._buckets: dict[int, list[tuple[Hello, Connection]]] = {}
         self._cv = threading.Condition()
         self._stop = False
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._sel = selectors.DefaultSelector()
+        self._wake, self._waker = socket.socketpair()  # stop() writes a byte
+        self._thread = threading.Thread(target=self._loop, daemon=True, name="io")
 
     def start(self) -> "ConnectionRouter":
         self._thread.start()
         return self
 
-    def _accept_loop(self) -> None:
-        while not self._stop:
-            try:
-                sock = self.listener.accept(timeout=0.2)
-            except Recoverable:
-                continue
-            except OSError:
-                return
-            threading.Thread(target=self._greet, args=(sock,), daemon=True).start()
-
-    def _greet(self, sock: socket.socket) -> None:
-        conn = Connection(sock)
+    def _loop(self) -> None:
+        sel, listener = self._sel, self.listener.sock
+        listener.setblocking(False)
+        sel.register(listener, selectors.EVENT_READ)
+        sel.register(self._wake, selectors.EVENT_READ)
         try:
-            frame = conn.recv_frame(timeout=DEFAULT_TIMEOUT_S, max_len=wire.HELLO_LEN)
-            if frame.msg_type != wire.HEARTBEAT:
-                raise Fatal(PROTOCOL_VIOLATION, f"expected hello, got {frame.name}")
-            hello = Hello(*wire.decode_hello(frame.payload))
+            while not self._stop:
+                first = min((key.data.deadline for key in sel.get_map().values()
+                             if key.data), default=None)
+                for key, _ in sel.select(None if first is None
+                                         else max(0.0, first - time.monotonic())):
+                    if key.data:
+                        self._advance(key.data)
+                    elif key.fileobj is listener:
+                        with contextlib.suppress(BlockingIOError):
+                            sock = listener.accept()[0]
+                            sel.register(sock, selectors.EVENT_READ, _Inbound(
+                                Connection(sock), time.monotonic() + DEFAULT_TIMEOUT_S))
+                now = time.monotonic()
+                for key in list(sel.get_map().values()):
+                    if key.data and key.data.deadline <= now:
+                        log.debug("router: inbound connection timed out")
+                        self._drop(key.data)
+        finally:
+            with self._cv:
+                for bucket in self._buckets.values():
+                    for _, conn in bucket:
+                        conn.close()
+                self._buckets.clear()
+            for key in list(sel.get_map().values()):
+                if key.data:
+                    key.data.conn.close()
+            sel.close()
+            self.listener.close()
+            self._wake.close()
+
+    def _advance(self, p: _Inbound) -> None:
+        """Move p on as far as its socket allows: park it once its hello is
+        in, or serve its fetch and close it."""
+        conn = p.conn
+        try:
+            while p.rest is None:
+                frame = conn.poll_frame(wire.FETCH_REQ_LEN if p.hello else wire.HELLO_LEN)
+                if frame is None:
+                    return
+                p.deadline = time.monotonic() + DEFAULT_TIMEOUT_S
+                if p.hello is None:
+                    if frame.msg_type != wire.HEARTBEAT:
+                        raise Fatal(PROTOCOL_VIOLATION, f"expected hello, got {frame.name}")
+                    p.hello = Hello(*wire.decode_hello(frame.payload))
+                    if p.hello.purpose in self._parked:
+                        self._sel.unregister(conn.sock)
+                        conn.peer = PeerAddress(p.hello.replica_id, p.hello.rank_id, "", 0)
+                        conn.purpose = p.hello.purpose
+                        with self._cv:
+                            self._buckets.setdefault(conn.purpose, []).append((p.hello, conn))
+                            self._cv.notify_all()
+                        return
+                    if (p.hello.purpose != wire.HELLO_FETCH
+                            or not 0 <= p.hello.rank_id < len(self.stores)):
+                        raise Fatal(PROTOCOL_VIOLATION, f"no one here claims {p.hello}")
+                else:
+                    p.rest = self._fetch_response(p.hello.rank_id, frame)
+                    self._sel.modify(conn.sock, selectors.EVENT_WRITE, p)
+            p.rest = conn.send_some(p.rest)
+            if p.rest:
+                return
         except (Recoverable, Fatal) as exc:
             log.debug("router: dropping inbound connection: %s", exc)
-            conn.close()
-            return
-        conn.peer = PeerAddress(hello.replica_id, hello.rank_id, "", 0)
-        conn.purpose = hello.purpose
-        conn.plan = self.plan
-        with self._cv:
-            self._buckets.setdefault(hello.purpose, []).append((hello, conn))
-            self._cv.notify_all()
+        self._drop(p)
+
+    def _fetch_response(self, rank: int, frame: wire.Frame) -> list:
+        """The parts of the answer to a fetch request over a hello of rank:
+        rank's state at the step asked for, or only the step it holds."""
+        if frame.msg_type != wire.FETCH_STATE_REQ:
+            raise Fatal(PROTOCOL_VIOLATION, f"expected FETCH_STATE_REQ, got {frame.name}")
+        step, asked = wire.decode_fetch_req(frame.payload)
+        if asked != rank:
+            raise Fatal(PROTOCOL_VIOLATION, f"request for rank {asked} over a rank {rank} hello")
+        try:
+            params, _momentum = self.stores[rank].get(step)
+            held, body = step, params.obj
+        except SnapshotUnavailable as exc:
+            held, body = exc.available or 0, b""
+        head = wire.encode_fetch_resp_head(held, rank, len(body))
+        return [wire.encode_frame_head(wire.FETCH_STATE_RESP, step, 0, len(head) + len(body))
+                + head, body]
+
+    def _drop(self, p: _Inbound) -> None:
+        self._sel.unregister(p.conn.sock)
+        p.conn.close()
 
     def take(self, purpose: int, pred=None, timeout: float = DEFAULT_TIMEOUT_S,
              discard=None) -> tuple[Hello, Connection]:
@@ -505,11 +588,13 @@ class ConnectionRouter:
                 self._cv.wait(remaining)
 
     def stop(self) -> None:
-        self._stop = True
-        self.listener.close()
+        """End the I/O thread, which closes the listener and every
+        connection not yet claimed, and wait for it. Safe to call again."""
         with self._cv:
-            for bucket in self._buckets.values():
-                for _, conn in bucket:
-                    conn.close()
-            self._buckets.clear()
-            self._cv.notify_all()
+            if self._stop:
+                return
+            self._stop = True
+        with contextlib.suppress(OSError):  # the loop may have ended already
+            self._waker.send(b"\0")
+        self._thread.join(timeout=DEFAULT_TIMEOUT_S)
+        self._waker.close()

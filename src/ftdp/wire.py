@@ -260,7 +260,7 @@ def decode_fetch_resp(payload: bytes) -> tuple[int, int, memoryview]:
 
 
 # Connection hello, carried in a HEARTBEAT payload. Purposes route inbound
-# connections on a rank's single listener.
+# connections on a process's single listener.
 HELLO_RING = 1
 HELLO_CTRL = 3
 HELLO_FETCH = 4

@@ -128,11 +128,7 @@ def test_fetch_roundtrip_over_sockets():
     momentum = np.ones(5, dtype=np.float32).tobytes()
     store.capture(7, params, momentum)
     listener = transport.Listener()
-    router = transport.ConnectionRouter(listener).start()
-    stop = threading.Event()
-    server = threading.Thread(target=checkpoint.serve_fetches,
-                              args=(router, store, stop), daemon=True)
-    server.start()
+    router = transport.ConnectionRouter(listener, [store]).start()
     addr = transport.PeerAddress(0, 0, "127.0.0.1", listener.port)
     try:
         got_p, got_m = fetch_shard(addr, 7, rank=0, replica_id=3, incarnation=1, shard_len=10)
@@ -142,26 +138,73 @@ def test_fetch_roundtrip_over_sockets():
             fetch_shard(addr, 6, rank=0, replica_id=3, incarnation=1, shard_len=10)
         assert ei.value.available == 7  # donor moved on; catch up next step
     finally:
-        stop.set()
         router.stop()
-        server.join(timeout=2.0)
 
 
 def test_fetch_from_empty_store_reports_nothing_available():
-    store = SnapshotStore()
+    stores = [SnapshotStore() for _ in range(3)]
     listener = transport.Listener()
-    router = transport.ConnectionRouter(listener).start()
-    stop = threading.Event()
-    threading.Thread(target=checkpoint.serve_fetches,
-                     args=(router, store, stop), daemon=True).start()
+    router = transport.ConnectionRouter(listener, stores).start()
     addr = transport.PeerAddress(0, 0, "127.0.0.1", listener.port)
     try:
         with pytest.raises(SnapshotUnavailable) as ei:
             fetch_shard(addr, 1, rank=2, replica_id=1, incarnation=1, shard_len=10)
         assert ei.value.available is None
     finally:
-        stop.set()
         router.stop()
+
+
+def test_fetches_are_served_from_each_ranks_store():
+    """Every rank's fetch gets its own rank's shard, and the response names
+    that rank, so fetch_shard's rank check compares the donor's answer."""
+    stores = [SnapshotStore() for _ in range(2)]
+    shards = [np.full(4, r + 1, dtype=np.float32).tobytes() for r in range(2)]
+    for store, shard in zip(stores, shards):
+        store.capture(5, shard, shard)
+    listener = transport.Listener()
+    router = transport.ConnectionRouter(listener, stores).start()
+    addr = transport.PeerAddress(0, 0, "127.0.0.1", listener.port)
+    try:
+        for rank in (1, 0):
+            got_p, got_m = fetch_shard(addr, 5, rank=rank, replica_id=3, incarnation=0,
+                                       shard_len=4)
+            assert got_p == shards[rank] and got_m == shards[rank]
+    finally:
+        router.stop()
+
+
+def _refused_fetch(stores, hello_rank, request_rank):
+    """Dial a fetch router with a hello for hello_rank and a request for
+    request_rank; return how the dialer's read ended and after how long."""
+    listener = transport.Listener()
+    router = transport.ConnectionRouter(listener, stores).start()
+    addr = transport.PeerAddress(0, 0, "127.0.0.1", listener.port)
+    conn = transport.connect(addr, wire.HELLO_FETCH, (1, hello_rank, 1, 0))
+    try:
+        conn.send_frame(wire.FETCH_STATE_REQ, 5, 0, wire.encode_fetch_req(5, request_rank))
+        t0 = time.monotonic()
+        with pytest.raises(errors.Recoverable) as ei:
+            conn.recv_frame(timeout=4.0)
+        return ei.value.reason, time.monotonic() - t0
+    finally:
+        conn.close()
+        router.stop()
+
+
+def test_fetch_for_a_rank_not_held_is_closed_at_once():
+    stores = [SnapshotStore() for _ in range(2)]
+    reason, waited = _refused_fetch(stores, hello_rank=7, request_rank=7)
+    assert reason == errors.PEER_RESET
+    assert waited < 2.0
+
+
+def test_fetch_request_for_another_rank_than_its_hello_gets_no_shard():
+    stores = [SnapshotStore() for _ in range(2)]
+    for store in stores:
+        store.capture(5, b"\0" * 16, b"\0" * 16)
+    reason, waited = _refused_fetch(stores, hello_rank=0, request_rank=1)
+    assert reason == errors.PEER_RESET
+    assert waited < 2.0
 
 
 def test_fetch_from_dead_donor_is_recoverable():
@@ -352,10 +395,7 @@ def test_fetch_server_drops_oversized_request_at_once():
     is dropped as soon as the length prefix arrives, not after the server's
     read deadline."""
     listener = transport.Listener()
-    router = transport.ConnectionRouter(listener).start()
-    stop = threading.Event()
-    threading.Thread(target=checkpoint.serve_fetches,
-                     args=(router, SnapshotStore(), stop), daemon=True).start()
+    router = transport.ConnectionRouter(listener, [SnapshotStore()]).start()
     addr = transport.PeerAddress(0, 0, "127.0.0.1", listener.port)
     conn = transport.connect(addr, wire.HELLO_FETCH, (1, 0, 1, 0))
     try:
@@ -367,5 +407,4 @@ def test_fetch_server_drops_oversized_request_at_once():
         assert time.monotonic() - t0 < 2.0
     finally:
         conn.close()
-        stop.set()
         router.stop()

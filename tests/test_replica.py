@@ -20,9 +20,9 @@ from ftdp.replica import (
     IntraGroup,
     Mortality,
     StaticBook,
-    Watchdog,
     _Halt,
     _RankWorker,
+    watch_ranks,
 )
 from helpers import (
     Cluster,
@@ -233,9 +233,13 @@ def test_mortality_first_code_wins_and_closers_run():
 
 
 def test_watchdog_fires_when_marks_go_stale():
+    """The main thread's join loop takes the replica down once a rank's
+    progress mark goes stale; the rank then unwinds on the dying signal."""
     m = Mortality(exit_fn=lambda code: None)
     progress = [time.monotonic()]
-    Watchdog(m, progress, limit_s=0.3).start()
+    rank = threading.Thread(target=m.dying.wait, args=(5.0,))
+    rank.start()
+    watch_ranks([rank], m, progress, limit_s=0.3)
     assert m.dying.wait(3.0), "watchdog never fired"
     assert m.code == EXIT_FATAL
 
@@ -243,12 +247,16 @@ def test_watchdog_fires_when_marks_go_stale():
 def test_watchdog_quiet_while_marks_refresh():
     m = Mortality(exit_fn=lambda code: None)
     progress = [time.monotonic()]
-    Watchdog(m, progress, limit_s=0.5).start()
-    for _ in range(8):
-        time.sleep(0.1)
-        progress[0] = time.monotonic()
+
+    def refresh():
+        for _ in range(8):
+            time.sleep(0.1)
+            progress[0] = time.monotonic()
+
+    rank = threading.Thread(target=refresh)
+    rank.start()
+    watch_ranks([rank], m, progress, limit_s=0.5)
     assert not m.dying.is_set()
-    m.dying.set()  # stop the thread
 
 
 # ------------------------------------------------------------ address books

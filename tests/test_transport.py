@@ -213,6 +213,58 @@ def test_router_drops_oversized_hello_at_once():
         router.stop()
 
 
+def test_router_closes_hellos_of_unknown_purpose_at_once():
+    """A hello of a purpose no logic takes is closed as soon as it is read,
+    not parked until stop."""
+    listener = transport.Listener()
+    router = transport.ConnectionRouter(listener).start()
+    addr = transport.PeerAddress(0, 0, "127.0.0.1", listener.port)
+    dials = [transport.connect(addr, 99, (1, 0, 0, i)) for i in range(20)]
+    try:
+        t0 = time.monotonic()
+        for conn in dials:
+            with pytest.raises(Recoverable) as ei:
+                conn.recv_frame(timeout=4.0)
+            assert ei.value.reason == PEER_RESET
+        assert time.monotonic() - t0 < 2.0
+        with pytest.raises(Recoverable):
+            router.take(99, timeout=0.1)
+    finally:
+        for conn in dials:
+            conn.close()
+        router.stop()
+
+
+def test_router_closes_a_silent_dial_at_the_hello_deadline(monkeypatch):
+    """A dialer that never sends its hello is closed once the hello deadline
+    passes, and not before."""
+    monkeypatch.setattr(transport, "DEFAULT_TIMEOUT_S", 0.5)
+    listener = transport.Listener()
+    router = transport.ConnectionRouter(listener).start()
+    conn = transport.Connection(socket.create_connection(("127.0.0.1", listener.port)))
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(Recoverable) as ei:
+            conn.recv_frame(timeout=4.0)
+        assert ei.value.reason == PEER_RESET
+        assert 0.4 < time.monotonic() - t0 < 2.0
+    finally:
+        conn.close()
+        router.stop()
+
+
+def test_router_stop_ends_its_thread_and_listener():
+    listener = transport.Listener()
+    router = transport.ConnectionRouter(listener).start()
+    addr = transport.PeerAddress(0, 0, "127.0.0.1", listener.port)
+    router.stop()
+    router.stop()
+    assert not router._thread.is_alive()
+    with pytest.raises(Recoverable) as ei:
+        transport.connect(addr, wire.HELLO_RING, (1, 0, 0, 0), deadline_s=0.2)
+    assert ei.value.reason == PEER_DOWN
+
+
 # -- fault shim -------------------------------------------------------------
 
 def active_plan(rule, self_replica=0):
