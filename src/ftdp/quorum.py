@@ -25,12 +25,16 @@ scheduled rejoin (fault drills) is admission-gated so the outage lasts
 exactly its scripted duration regardless of how fast the process restarts:
 the restarted replica keeps reporting and stays unassigned until the gate
 opens, and the round is then held open briefly so it lands in the same
-decision on every run.
+decision on every run. The first round waits for every expected replica's
+report, up to the join wait, so a run starts with its whole group.
+
+QuorumEngine holds these rules; QuorumCoordinator serves them on one thread.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -38,7 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ftdp import transport, wire
-from ftdp.errors import Fatal, INTERNAL_INVARIANT, PEER_DOWN, PROTOCOL_VIOLATION, Recoverable
+from ftdp.errors import (
+    Fatal, INTERNAL_INVARIANT, PEER_DOWN, PEER_RESET, PROTOCOL_VIOLATION, Recoverable,
+)
 
 log = logging.getLogger(__name__)
 
@@ -157,15 +163,11 @@ class QuorumEngine:
                 out[rid] = rep
         return out
 
-    def prospective_target(self, reports: dict[int, Report]) -> int:
-        eff = self.effective_reports(reports)
-        return max((rep.next_step for rep in eff.values()), default=self.target_step)
-
     def pending_joiners(self, reports: dict[int, Report]) -> set[int]:
         """Scheduled rejoiners whose gate would open at this round's target
         but whose report has not arrived yet; the round is held for them."""
-        target = self.prospective_target(reports)
         eff = self.effective_reports(reports)
+        target = max((rep.next_step for rep in eff.values()), default=self.target_step)
         return {rid for rid, queue in self._admission.items()
                 if queue[0][0] <= target and rid not in eff}
 
@@ -256,170 +258,123 @@ class QuorumClient:
         self.conn.close()
 
 
-class _Link:
-    def __init__(self, conn: transport.Connection, replica_id: int, incarnation: int):
-        self.conn = conn
-        self.replica_id = replica_id
-        self.incarnation = incarnation
-        self.alive = True
+class QuorumCoordinator(transport.SelectorService):
+    """TCP service running the decision engine on one thread.
 
-
-class QuorumCoordinator:
-    """TCP service running the decision engine.
-
-    One reader thread per leader connection feeds an inbox; the round loop
-    waits until every connected replica has reported (or the deadline
-    passes, or only a scheduled joiner is missing and the longer join wait
-    applies), then answers every consumed report with the decision.
+    The thread is one selectors loop (serve) over the listener and every
+    leader's link. It greets each dialer, admits a quorum link under
+    incarnation fencing and closes any other hello at once. It reads the
+    reports as they arrive and closes the round once every connected
+    replica has reported (or the round deadline passes, or only a scheduled
+    joiner is missing and the longer join wait applies), then answers every
+    report of the round with the decision. Between events the loop sleeps
+    until the next of these deadlines; expect_join may come from any thread.
     """
 
     def __init__(self, listener: transport.Listener,
                  round_deadline_s: float = ROUND_DEADLINE_S,
                  join_wait_s: float = JOIN_WAIT_S,
                  expected_replicas: int | None = None):
-        self.listener = listener
+        super().__init__(listener, "quorum")
         self.engine = QuorumEngine()
         self.round_deadline_s = round_deadline_s
         self.join_wait_s = join_wait_s
         self.expected_replicas = expected_replicas
         self._assembled = expected_replicas is None
-        self._router = transport.ConnectionRouter(listener).start()
-        self._links: dict[int, _Link] = {}
-        self._inbox: dict[int, Report] = {}
-        self._cv = threading.Condition()
-        self._running = True
-        self._threads = [threading.Thread(target=self._admit_loop, daemon=True),
-                         threading.Thread(target=self._round_loop, daemon=True)]
-        self.decisions_made = 0
-
-    def start(self) -> "QuorumCoordinator":
-        for t in self._threads:
-            t.start()
-        return self
+        self._lock = threading.Lock()  # the engine; expect_join comes from other threads
+        self._links: dict[int, transport.Inbound] = {}  # replica -> its admitted link
+        self._reports: dict[int, Report] = {}  # the open round's, by replica
+        self._opened: float | None = None  # when the open round's first report came
 
     def expect_join(self, replica_id: int, not_before_step: int,
                     min_incarnation: int = 0) -> None:
-        with self._cv:
+        with self._lock:
             self.engine.admit_after(replica_id, not_before_step, min_incarnation)
 
-    def _admit_loop(self) -> None:
-        while self._running:
+    def _loop(self) -> None:
+        self.serve(self._read, self._close_round_when_due)
+
+    def _read(self, link: transport.Inbound) -> None:
+        """Greet link or take its reports, as far as its socket allows; drop
+        it on a fault."""
+        conn = link.conn
+        try:
+            if link.hello is None:
+                link.hello = transport.read_hello(conn)
+                if link.hello is None:
+                    return
+                self._admit(link)
+            while (frame := conn.poll_frame(wire.REPORT_LEN)) is not None:
+                if frame.msg_type != wire.QUORUM_REPORT:
+                    raise Fatal(PROTOCOL_VIOLATION, f"unexpected {frame.name}")
+                _epoch, next_step, replica_id, incarnation = wire.decode_report(frame.payload)
+                if replica_id != link.hello.replica_id:
+                    raise Fatal(PROTOCOL_VIOLATION, f"report of replica {replica_id}")
+                self._reports[replica_id] = Report(next_step, incarnation)
+                if self._opened is None:
+                    self._opened = time.monotonic()
+        except (Recoverable, Fatal) as exc:
+            log.debug("quorum: dropping the link of %s: %s", link.hello, exc)
+            self._drop(link)
+
+    def _admit(self, link: transport.Inbound) -> None:
+        """Make link its replica's link, unless that replica already has one
+        from a newer incarnation; an older one is closed."""
+        hello = link.hello
+        if hello.purpose != wire.HELLO_QUORUM:
+            raise Fatal(PROTOCOL_VIOLATION, f"no one here claims {hello}")
+        old = self._links.get(hello.replica_id)
+        if old is not None:
+            if old.hello.incarnation > hello.incarnation:
+                raise Recoverable(PEER_RESET, "stale incarnation")
+            self._drop(old)
+        with self._lock:
+            self.engine.register(hello.replica_id, hello.incarnation)
+        self._links[hello.replica_id] = link
+        link.deadline = math.inf
+
+    def _drop(self, link: transport.Inbound) -> None:
+        link.drop(self._sel)
+        if link.hello and self._links.get(link.hello.replica_id) is link:
+            del self._links[link.hello.replica_id]
+
+    def _close_round_when_due(self, now: float) -> float:
+        """Close the open round if its rules allow; otherwise return when
+        they next could without a new event (inf while no round is open)."""
+        if self._opened is None:
+            return math.inf
+        elapsed = now - self._opened
+        held = self._opened + self.join_wait_s
+        if not self._assembled:
+            # Startup barrier: the first decision should cover the whole
+            # configured group, not whoever reported first; after the join
+            # wait the group starts degraded.
+            if len(self._reports) < self.expected_replicas and elapsed < self.join_wait_s:
+                return held
+            self._assembled = True
+        with self._lock:
+            joiners = self.engine.pending_joiners(self._reports)
+        if joiners or self._links.keys() - self._reports.keys():
+            if joiners and elapsed < self.join_wait_s:
+                return held  # hold the round open for the scheduled rejoin
+            if elapsed < self.round_deadline_s:
+                return self._opened + self.round_deadline_s
+        batch, self._reports, self._opened = self._reports, {}, None
+        with self._lock:
+            if joiners and elapsed >= self.join_wait_s:
+                for rid in joiners:
+                    log.warning("quorum: scheduled rejoin of replica %d missed "
+                                "its window; de-scheduling", rid)
+                    self.engine.drop_admission(rid)
+            decision = self.engine.decide(batch)
+        payload = decision.encode()
+        for link in [self._links[rid] for rid in batch if rid in self._links]:
             try:
-                hello, conn = self._router.take(wire.HELLO_QUORUM, timeout=0.25)
-            except Recoverable:
-                continue
-            with self._cv:
-                old = self._links.get(hello.replica_id)
-                if old is not None and old.incarnation > hello.incarnation:
-                    conn.close()  # stale process talking to us
-                    continue
-                if old is not None:
-                    old.alive = False
-                    old.conn.close()
-                self.engine.register(hello.replica_id, hello.incarnation)
-                link = _Link(conn, hello.replica_id, hello.incarnation)
-                self._links[hello.replica_id] = link
-                self._cv.notify_all()
-            threading.Thread(target=self._read_loop, args=(link,), daemon=True).start()
-
-    def _read_loop(self, link: _Link) -> None:
-        while self._running and link.alive:
-            try:
-                frame = link.conn.recv_frame(timeout=0.5, max_len=wire.REPORT_LEN)
-            except Recoverable as exc:
-                if exc.reason == "timeout":
-                    continue
-                break  # reset: the leader died
-            except Fatal:
-                break
-            if frame.msg_type != wire.QUORUM_REPORT:
-                log.warning("quorum: unexpected %s from replica %d", frame.name,
-                            link.replica_id)
-                break
-            _epoch, next_step, replica_id, incarnation = wire.decode_report(frame.payload)
-            if replica_id != link.replica_id:
-                log.warning("quorum: report id %d over link of %d", replica_id,
-                            link.replica_id)
-                break
-            with self._cv:
-                self._inbox[replica_id] = Report(next_step, incarnation)
-                self._cv.notify_all()
-        with self._cv:
-            link.alive = False
-            if self._links.get(link.replica_id) is link:
-                del self._links[link.replica_id]
-            self._cv.notify_all()
-        link.conn.close()
-
-    def _round_loop(self) -> None:
-        while self._running:
-            with self._cv:
-                while self._running and not self._inbox:
-                    self._cv.wait(0.2)
-            if not self._running:
-                return
-            opened = time.monotonic()
-            while self._running:
-                with self._cv:
-                    connected = {rid for rid, ln in self._links.items() if ln.alive}
-                    have = set(self._inbox)
-                    joiners = self.engine.pending_joiners(self._inbox)
-                elapsed = time.monotonic() - opened
-                if not self._assembled:
-                    # Startup barrier: the first decision should cover the
-                    # whole configured group, not whoever dialed in first.
-                    if len(connected) >= (self.expected_replicas or 0):
-                        self._assembled = True
-                    elif elapsed < self.join_wait_s:
-                        with self._cv:
-                            self._cv.wait(0.05)
-                        continue
-                    else:
-                        self._assembled = True  # proceed degraded
-                missing = connected - have
-                if not missing and not joiners:
-                    break
-                if joiners and elapsed < self.join_wait_s:
-                    pass  # hold the round open for the scheduled rejoin
-                elif elapsed >= self.round_deadline_s:
-                    break
-                with self._cv:
-                    self._cv.wait(0.05)
-            with self._cv:
-                batch = dict(self._inbox)
-                self._inbox.clear()
-                stragglers = self.engine.pending_joiners(batch)
-                if stragglers and time.monotonic() - opened >= self.join_wait_s:
-                    for rid in stragglers:
-                        log.warning("quorum: scheduled rejoin of replica %d missed "
-                                    "its window; de-scheduling", rid)
-                        self.engine.drop_admission(rid)
-                decision = self.engine.decide(batch)
-                self.decisions_made += 1
-                links = {rid: self._links.get(rid) for rid in batch}
-            payload = decision.encode()
-            for rid in batch:
-                link = links.get(rid)
-                if link is None or not link.alive:
-                    continue
-                try:
-                    link.conn.send_frame(wire.QUORUM_DECISION, decision.target_step,
-                                         decision.epoch, payload, timeout=1.0)
-                except (Recoverable, Fatal):
-                    with self._cv:
-                        link.alive = False
-
-    def stop(self) -> None:
-        self._running = False
-        with self._cv:
-            self._cv.notify_all()
-        self._router.stop()
-        with self._cv:
-            for link in self._links.values():
-                link.conn.close()
-            self._links.clear()
-        for t in self._threads:
-            t.join(timeout=2.0)
+                link.conn.send_frame(wire.QUORUM_DECISION, decision.target_step,
+                                     decision.epoch, payload, timeout=1.0)
+            except (Recoverable, Fatal):
+                self._drop(link)
+        return math.inf
 
 
 @dataclass

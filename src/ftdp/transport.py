@@ -19,12 +19,14 @@ from __future__ import annotations
 import contextlib
 import errno
 import logging
+import math
 import select
 import selectors
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from ftdp import wire
 from ftdp.errors import (
@@ -418,6 +420,21 @@ class Hello:
     aux: int
 
 
+def read_hello(conn: Connection) -> Hello | None:
+    """The dialer's hello once it is whole in conn, else None; never waits.
+    Anything but a HEARTBEAT of at most wire.HELLO_LEN is Fatal. The caller
+    closes a dialer with no hello in DEFAULT_TIMEOUT_S after its accept."""
+    frame = conn.poll_frame(wire.HELLO_LEN)
+    if frame is None:
+        return None
+    if frame.msg_type != wire.HEARTBEAT:
+        raise Fatal(PROTOCOL_VIOLATION, f"expected hello, got {frame.name}")
+    hello = Hello(*wire.decode_hello(frame.payload))
+    conn.peer = PeerAddress(hello.replica_id, hello.rank_id, "", 0)
+    conn.purpose = hello.purpose
+    return hello
+
+
 class Listener:
     def __init__(self, host: str = "127.0.0.1", port: int = 0, backlog: int = 64):
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -434,74 +451,70 @@ class Listener:
 
 
 @dataclass
-class _Inbound:
-    """An accepted connection still in the I/O loop's hands."""
+class Inbound:
+    """An accepted connection still in an I/O loop's hands."""
     conn: Connection
-    deadline: float
+    deadline: float  # math.inf once nothing is due from the dialer
     hello: Hello | None = None
     rest: list | None = None  # fetch response parts not yet written
 
+    def drop(self, sel: selectors.BaseSelector) -> None:
+        """Unregister from sel and close; safe to call again."""
+        with contextlib.suppress(KeyError, ValueError):
+            sel.unregister(self.conn.sock)
+        self.conn.close()
 
-class ConnectionRouter:
-    """The I/O thread of a process: one selectors loop over its listener.
 
-    The loop accepts and reads each hello without blocking, closing a dialer
-    with no whole hello in by DEFAULT_TIMEOUT_S. Ring, ctrl and quorum links
-    are parked per purpose until take() claims one, which transfers
-    ownership. Given stores, the replica's SnapshotStore of each rank, the
-    loop serves fetches itself: it reads the request, then writes the hello
-    rank's shard as the socket drains, each under a fresh DEFAULT_TIMEOUT_S
-    deadline. Without stores it parks fetch hellos too. Any other hello, a
-    fetch for a rank it does not hold, or a request for another rank than
-    the hello's is closed at once.
-    """
+_S = TypeVar("_S", bound="SelectorService")
 
-    def __init__(self, listener: Listener, stores: list | None = None):
+
+class SelectorService:
+    """A service on one thread. The subclass's _loop runs serve(), one
+    selectors loop over the listener; stop() ends it."""
+
+    def __init__(self, listener: Listener, name: str):
         self.listener = listener
-        self.stores = stores
-        self._parked = {wire.HELLO_RING, wire.HELLO_CTRL, wire.HELLO_QUORUM}
-        if stores is None:
-            self._parked.add(wire.HELLO_FETCH)
-        self._buckets: dict[int, list[tuple[Hello, Connection]]] = {}
-        self._cv = threading.Condition()
         self._stop = False
         self._sel = selectors.DefaultSelector()
         self._wake, self._waker = socket.socketpair()  # stop() writes a byte
-        self._thread = threading.Thread(target=self._loop, daemon=True, name="io")
+        self._thread = threading.Thread(target=self._loop, daemon=True, name=name)
 
-    def start(self) -> "ConnectionRouter":
+    def start(self: _S) -> _S:
         self._thread.start()
         return self
 
-    def _loop(self) -> None:
+    def serve(self, ready, tick=None) -> None:
+        """Run the loop until stop(), then close the listener and every
+        connection still registered. Each dial becomes an Inbound whose
+        hello is due in DEFAULT_TIMEOUT_S; ready(inbound) runs whenever one's
+        socket is ready, one past its deadline is dropped, and after every
+        pass tick(now) returns when it next needs a pass without an event
+        (math.inf: never)."""
         sel, listener = self._sel, self.listener.sock
         listener.setblocking(False)
         sel.register(listener, selectors.EVENT_READ)
         sel.register(self._wake, selectors.EVENT_READ)
+        due = math.inf
         try:
             while not self._stop:
-                first = min((key.data.deadline for key in sel.get_map().values()
-                             if key.data), default=None)
-                for key, _ in sel.select(None if first is None
+                first = min([due] + [key.data.deadline for key in sel.get_map().values()
+                                     if key.data])
+                for key, _ in sel.select(None if first == math.inf
                                          else max(0.0, first - time.monotonic())):
                     if key.data:
-                        self._advance(key.data)
+                        ready(key.data)
                     elif key.fileobj is listener:
                         with contextlib.suppress(BlockingIOError):
                             sock = listener.accept()[0]
-                            sel.register(sock, selectors.EVENT_READ, _Inbound(
+                            sel.register(sock, selectors.EVENT_READ, Inbound(
                                 Connection(sock), time.monotonic() + DEFAULT_TIMEOUT_S))
                 now = time.monotonic()
                 for key in list(sel.get_map().values()):
                     if key.data and key.data.deadline <= now:
-                        log.debug("router: inbound connection timed out")
-                        self._drop(key.data)
+                        log.debug("inbound connection timed out")
+                        key.data.drop(sel)
+                due = tick(now) if tick else math.inf
         finally:
-            with self._cv:
-                for bucket in self._buckets.values():
-                    for _, conn in bucket:
-                        conn.close()
-                self._buckets.clear()
             for key in list(sel.get_map().values()):
                 if key.data:
                     key.data.conn.close()
@@ -509,40 +522,82 @@ class ConnectionRouter:
             self.listener.close()
             self._wake.close()
 
-    def _advance(self, p: _Inbound) -> None:
+    def stop(self) -> None:
+        """End the thread, which closes the listener and every connection
+        still in its hands, and wait for it. Safe to call again."""
+        self._stop = True
+        with contextlib.suppress(OSError):  # the loop may have ended already
+            self._waker.send(b"\0")
+        self._thread.join(timeout=DEFAULT_TIMEOUT_S)
+        self._waker.close()
+
+
+class ConnectionRouter(SelectorService):
+    """The I/O thread of a process: one selectors loop (serve) over its
+    listener. stop() also closes every connection not yet claimed.
+
+    The loop accepts and reads each hello without blocking (read_hello),
+    closing a dialer with no whole hello in by DEFAULT_TIMEOUT_S. Ring and
+    ctrl links are parked per purpose until take() claims one, which
+    transfers ownership. Given stores, the replica's SnapshotStore of each
+    rank, the loop serves fetches itself: it reads the request, then writes
+    the hello rank's shard as the socket drains, each under a fresh
+    DEFAULT_TIMEOUT_S deadline. Without stores it parks fetch hellos too. Any other hello, a
+    fetch for a rank it does not hold, or a request for another rank than
+    the hello's is closed at once.
+    """
+
+    def __init__(self, listener: Listener, stores: list | None = None):
+        super().__init__(listener, "io")
+        self.stores = stores
+        self._parked = {wire.HELLO_RING, wire.HELLO_CTRL}
+        if stores is None:
+            self._parked.add(wire.HELLO_FETCH)
+        self._buckets: dict[int, list[tuple[Hello, Connection]]] = {}
+        self._cv = threading.Condition()
+
+    def _loop(self) -> None:
+        try:
+            self.serve(self._advance)
+        finally:
+            with self._cv:
+                for bucket in self._buckets.values():
+                    for _, conn in bucket:
+                        conn.close()
+                self._buckets.clear()
+
+    def _advance(self, p: Inbound) -> None:
         """Move p on as far as its socket allows: park it once its hello is
         in, or serve its fetch and close it."""
         conn = p.conn
         try:
-            while p.rest is None:
-                frame = conn.poll_frame(wire.FETCH_REQ_LEN if p.hello else wire.HELLO_LEN)
+            if p.hello is None:
+                p.hello = read_hello(conn)
+                if p.hello is None:
+                    return
+                p.deadline = time.monotonic() + DEFAULT_TIMEOUT_S
+                if p.hello.purpose in self._parked:
+                    self._sel.unregister(conn.sock)
+                    with self._cv:
+                        self._buckets.setdefault(conn.purpose, []).append((p.hello, conn))
+                        self._cv.notify_all()
+                    return
+                if (p.hello.purpose != wire.HELLO_FETCH
+                        or not 0 <= p.hello.rank_id < len(self.stores)):
+                    raise Fatal(PROTOCOL_VIOLATION, f"no one here claims {p.hello}")
+            if p.rest is None:
+                frame = conn.poll_frame(wire.FETCH_REQ_LEN)
                 if frame is None:
                     return
                 p.deadline = time.monotonic() + DEFAULT_TIMEOUT_S
-                if p.hello is None:
-                    if frame.msg_type != wire.HEARTBEAT:
-                        raise Fatal(PROTOCOL_VIOLATION, f"expected hello, got {frame.name}")
-                    p.hello = Hello(*wire.decode_hello(frame.payload))
-                    if p.hello.purpose in self._parked:
-                        self._sel.unregister(conn.sock)
-                        conn.peer = PeerAddress(p.hello.replica_id, p.hello.rank_id, "", 0)
-                        conn.purpose = p.hello.purpose
-                        with self._cv:
-                            self._buckets.setdefault(conn.purpose, []).append((p.hello, conn))
-                            self._cv.notify_all()
-                        return
-                    if (p.hello.purpose != wire.HELLO_FETCH
-                            or not 0 <= p.hello.rank_id < len(self.stores)):
-                        raise Fatal(PROTOCOL_VIOLATION, f"no one here claims {p.hello}")
-                else:
-                    p.rest = self._fetch_response(p.hello.rank_id, frame)
-                    self._sel.modify(conn.sock, selectors.EVENT_WRITE, p)
+                p.rest = self._fetch_response(p.hello.rank_id, frame)
+                self._sel.modify(conn.sock, selectors.EVENT_WRITE, p)
             p.rest = conn.send_some(p.rest)
             if p.rest:
                 return
         except (Recoverable, Fatal) as exc:
             log.debug("router: dropping inbound connection: %s", exc)
-        self._drop(p)
+        p.drop(self._sel)
 
     def _fetch_response(self, rank: int, frame: wire.Frame) -> list:
         """The parts of the answer to a fetch request over a hello of rank:
@@ -560,10 +615,6 @@ class ConnectionRouter:
         head = wire.encode_fetch_resp_head(held, rank, len(body))
         return [wire.encode_frame_head(wire.FETCH_STATE_RESP, step, 0, len(head) + len(body))
                 + head, body]
-
-    def _drop(self, p: _Inbound) -> None:
-        self._sel.unregister(p.conn.sock)
-        p.conn.close()
 
     def take(self, purpose: int, pred=None, timeout: float = DEFAULT_TIMEOUT_S,
              discard=None) -> tuple[Hello, Connection]:
@@ -586,15 +637,3 @@ class ConnectionRouter:
                 if remaining <= 0:
                     raise Recoverable(TIMEOUT, f"no inbound connection for purpose {purpose}")
                 self._cv.wait(remaining)
-
-    def stop(self) -> None:
-        """End the I/O thread, which closes the listener and every
-        connection not yet claimed, and wait for it. Safe to call again."""
-        with self._cv:
-            if self._stop:
-                return
-            self._stop = True
-        with contextlib.suppress(OSError):  # the loop may have ended already
-            self._waker.send(b"\0")
-        self._thread.join(timeout=DEFAULT_TIMEOUT_S)
-        self._waker.close()

@@ -1,5 +1,6 @@
 """Decision engine and coordinator service tests."""
 
+import socket
 import struct
 import threading
 import time
@@ -210,7 +211,7 @@ def test_coordinator_fences_stale_incarnation_connection():
         peer = QuorumClient(addr, 0, incarnation=1, round_deadline_s=0.3, join_wait_s=1.0)
         exchange_all({0: peer, 1: old}, {0: 1, 1: 1})
         new = QuorumClient(addr, 1, incarnation=2, round_deadline_s=0.3, join_wait_s=1.0)
-        time.sleep(0.2)  # admit loop replaces and closes the stale link
+        time.sleep(0.2)  # the coordinator replaces and closes the stale link
         with pytest.raises((errors.Recoverable, errors.Fatal)):
             old.exchange(2, deadline_s=1.5)
         out = exchange_all({0: peer, 1: new}, {0: 2, 1: 1})
@@ -286,9 +287,94 @@ def test_coordinator_holds_round_for_scheduled_rejoin():
         coord.stop()
 
 
+@pytest.mark.parametrize("report_after_s", [0.0, 0.02, 0.1])
+def test_coordinator_first_round_waits_for_every_expected_report(report_after_s):
+    """The startup barrier holds the first round until every expected
+    replica has reported, not merely connected: a leader that dials after
+    the round deadline has passed still lands in the first decision."""
+    coord, addr = start_coordinator(round_deadline_s=0.3, join_wait_s=2.0,
+                                    expected_replicas=3)
+    clients = {}
+    out = {}
+
+    def late():
+        time.sleep(0.5)
+        clients[2] = QuorumClient(addr, 2, incarnation=1,
+                                  round_deadline_s=0.3, join_wait_s=2.0)
+        time.sleep(report_after_s)
+        out[2] = clients[2].exchange(1)
+
+    try:
+        clients.update({rid: QuorumClient(addr, rid, incarnation=1,
+                                          round_deadline_s=0.3, join_wait_s=2.0)
+                        for rid in range(2)})
+        t = threading.Thread(target=late)
+        t.start()
+        out.update(exchange_all({rid: clients[rid] for rid in range(2)}, {0: 1, 1: 1}))
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+        assert out[0].healthy == (0, 1, 2) and out[0].target_step == 1
+        assert out[0] == out[1] == out[2]
+    finally:
+        for c in clients.values():
+            c.close()
+        coord.stop()
+
+
+def assert_reset_at_once(conn, within_s=2.0):
+    t0 = time.monotonic()
+    with pytest.raises(errors.Recoverable) as ei:
+        conn.recv_frame(timeout=4.0)
+    assert ei.value.reason == errors.PEER_RESET
+    assert time.monotonic() - t0 < within_s
+
+
+@pytest.mark.parametrize("purpose", [wire.HELLO_RING, wire.HELLO_CTRL, wire.HELLO_FETCH],
+                         ids=["ring", "ctrl", "fetch"])
+def test_coordinator_closes_other_hellos_at_once(purpose):
+    """A dial for a ring, ctrl or fetch link is closed as soon as its hello
+    is read, not held until the coordinator stops."""
+    coord, addr = start_coordinator(round_deadline_s=0.3, join_wait_s=1.0)
+    dials = [transport.connect(addr, purpose, (1, 0, 0, i)) for i in range(5)]
+    try:
+        for conn in dials:
+            assert_reset_at_once(conn)
+    finally:
+        for conn in dials:
+            conn.close()
+        coord.stop()
+
+
+@pytest.mark.parametrize("msg_type, payload", [
+    (wire.QUORUM_REPORT, wire.encode_report(0, 1, 1, 1)),  # replica 1's, on 0's link
+    (wire.HEARTBEAT, b""),
+], ids=["report_of_another_replica", "not_a_report"])
+def test_coordinator_drops_a_link_that_misbehaves(msg_type, payload):
+    coord, addr = start_coordinator(round_deadline_s=0.3, join_wait_s=1.0)
+    conn = transport.connect(addr, wire.HELLO_QUORUM, (0, 0, 1, 0))
+    try:
+        conn.send_frame(msg_type, 1, 0, payload)
+        assert_reset_at_once(conn)
+    finally:
+        conn.close()
+        coord.stop()
+
+
+def test_coordinator_closes_a_silent_dial_at_the_hello_deadline(monkeypatch):
+    monkeypatch.setattr(transport, "DEFAULT_TIMEOUT_S", 0.5)
+    coord, addr = start_coordinator(round_deadline_s=0.3, join_wait_s=1.0)
+    conn = transport.Connection(socket.create_connection(("127.0.0.1", addr.port)))
+    try:
+        t0 = time.monotonic()
+        assert_reset_at_once(conn)
+        assert time.monotonic() - t0 > 0.4
+    finally:
+        conn.close()
+        coord.stop()
+
+
 def test_client_gives_up_on_silent_coordinator():
-    listener = transport.Listener()
-    router = transport.ConnectionRouter(listener).start()
+    listener = transport.Listener()  # accepts dials, and nothing serves them
     try:
         client = QuorumClient(
             transport.PeerAddress(0, 0, "127.0.0.1", listener.port),
@@ -297,7 +383,7 @@ def test_client_gives_up_on_silent_coordinator():
             client.exchange(1, deadline_s=0.6)
         client.close()
     finally:
-        router.stop()
+        listener.close()
 
 
 # --------------------------------------------------------------- emulation
