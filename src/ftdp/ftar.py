@@ -1,9 +1,19 @@
 """Fault-tolerant ring all-reduce over stream sockets.
 
-The reduction runs as ReduceScatter then AllGather, each N-1 ring steps.
-Large buffers are split into partitions of at most chunk_bytes *
-max_in_flight * N bytes; within a partition each ring step moves one
-segment, pipelined as chunks of at most chunk_bytes with a bounded
+A message is split into partitions of at most chunk_bytes * max_in_flight
+* N bytes, and each partition is reduced on one of two paths over the same
+ring links:
+
+- A partition of at most GATHER_MAX_BYTES per member is gathered whole:
+  in N-1 ring steps every member forwards each member's copy of it, so
+  each member ends with all N copies and folds them itself. A small
+  partition costs hop latency, not bytes, and this takes half the ring's
+  hops.
+- A larger partition runs as ReduceScatter then AllGather, each N-1 ring
+  steps, so each member sends only about twice the partition.
+
+Within a partition each ring step moves one segment (ring) or one member's
+block (gather), pipelined as chunks of at most chunk_bytes with a bounded
 unacknowledged window per peer link.
 
 The calling rank thread drives both of its links itself, with no helper
@@ -20,8 +30,10 @@ is discarded rather than corrupting the new one. Garbage frames and
 non-finite payloads are Fatal: better to crash one replica than to commit
 a poisoned update everywhere.
 
-Reduction order is fixed (ascending replica id around the ring), so every
-member computes bit-identical float32 sums.
+Reduction order is fixed on both paths: each segment is a float32
+left-fold of the members' values in ring order (ascending replica id),
+starting at the segment's owner. So every member computes the same bits,
+whichever path a partition takes.
 """
 
 from __future__ import annotations
@@ -49,6 +61,12 @@ from ftdp.errors import (
 log = logging.getLogger(__name__)
 
 ELEM = 4  # float32 bytes; all payloads are float32 vectors
+
+# Partitions of at most this many bytes per member take the gather path:
+# N-1 hops, each moving a whole block, instead of the ring's 2(N-1) hops
+# of one segment. It also bounds the gather's staging: N+1 times this per
+# rank. The value comes from a loopback crossover measurement (CHANGES.md).
+GATHER_MAX_BYTES = 64 * 1024
 
 
 @dataclass
@@ -405,27 +423,64 @@ def ftar_all_reduce(group: RingGroup, buf: np.ndarray, step: int,
 
 def _reduce_partition(group: RingGroup, buf: np.ndarray, part_idx: int,
                       p_off: int, p_len: int, step: int, cfg: PipelineConfig) -> None:
-    n = group.n
-    me = group.index
-    segs = segment_bounds(p_len, n)
     # Staging copy: the caller's region is rewritten only on completion.
-    # Reduce-scatter chunks land in scratch, one at a time, to be folded
-    # into work.
-    work, scratch = group.buffers(p_len, min(cfg.chunk_elems, segs[0][1]) * ELEM)
-    np.copyto(work, buf[p_off:p_off + p_len])
     pipe = _Pipe(group.right, group.left, cfg, group.generation, step, part_idx, group.meter)
     try:
-        for t in range(n - 1):
-            _ring_step(pipe, work, scratch, segs, ring_step=t, send_seg=(me - t) % n,
-                       recv_seg=(me - t - 1) % n, reduce=True)
-        for t in range(n - 1):
-            _ring_step(pipe, work, scratch, segs, ring_step=(n - 1) + t,
-                       send_seg=(me - t + 1) % n, recv_seg=(me - t) % n, reduce=False)
-        pipe.drain()
+        if p_len * ELEM <= GATHER_MAX_BYTES:
+            work = _gather_fold(group, pipe, buf[p_off:p_off + p_len])
+        else:
+            work = _ring_reduce(group, pipe, buf[p_off:p_off + p_len])
     finally:
         pipe.close()
     _check_finite(work)
     buf[p_off:p_off + p_len] = work
+
+
+def _ring_reduce(group: RingGroup, pipe: _Pipe, part: np.ndarray) -> np.ndarray:
+    """Reduce-scatter then all-gather, 2(n-1) ring steps of one segment."""
+    n = group.n
+    me = group.index
+    segs = segment_bounds(part.size, n)
+    # Reduce-scatter chunks land in scratch, one at a time, to be folded
+    # into work.
+    work, scratch = group.buffers(part.size, min(pipe.cfg.chunk_elems, segs[0][1]) * ELEM)
+    np.copyto(work, part)
+    for t in range(n - 1):
+        _ring_step(pipe, work, scratch, segs, ring_step=t, send_seg=(me - t) % n,
+                   recv_seg=(me - t - 1) % n, reduce=True)
+    for t in range(n - 1):
+        _ring_step(pipe, work, scratch, segs, ring_step=(n - 1) + t,
+                   send_seg=(me - t + 1) % n, recv_seg=(me - t) % n, reduce=False)
+    pipe.drain()
+    return work
+
+
+def _gather_fold(group: RingGroup, pipe: _Pipe, part: np.ndarray) -> np.ndarray:
+    """Gather every member's copy of the partition, n-1 ring steps of one
+    block, then fold each segment locally in the ring's order."""
+    n = group.n
+    me = group.index
+    p_len = part.size
+    # Block b of staging holds member b's partition; the row after the
+    # last block receives the folded result.
+    staging, scratch = group.buffers((n + 1) * p_len, 0)
+    blocks = [(b * p_len, p_len) for b in range(n)]
+    np.copyto(staging[me * p_len:(me + 1) * p_len], part)
+    for t in range(n - 1):
+        _ring_step(pipe, staging, scratch, blocks, ring_step=t, send_seg=(me - t) % n,
+                   recv_seg=(me - t - 1) % n, reduce=False)
+    pipe.drain()
+    # Segment s is summed from its owner s onwards, as the reduce-scatter
+    # adds it (float addition is commutative, so the first add matches).
+    raw = memoryview(staging).cast("B")
+    out = staging[n * p_len:]
+    for s, (s_off, s_len) in enumerate(segment_bounds(p_len, n)):
+        acc = out[s_off:s_off + s_len]
+        np.copyto(acc, staging[s * p_len + s_off:s * p_len + s_off + s_len])
+        for k in range(1, n):
+            lo = (((s + k) % n) * p_len + s_off) * ELEM
+            kernels.accumulate(acc, raw[lo:lo + s_len * ELEM])
+    return out
 
 
 def _check_finite(a: np.ndarray) -> None:
@@ -445,6 +500,10 @@ def _ring_step(pipe: _Pipe, work: np.ndarray, scratch: memoryview,
     # after this rank's earlier send of the same segment reached the right
     # neighbor in full: the reduction that produced it had to add that data.
     # Reduce-scatter only adds into segments this rank has not sent yet.
+    # On the gather path the segments are the members' disjoint blocks: a
+    # block is forwarded only after it has been received in full (or is
+    # this rank's own), and each block is written by its one receive, so
+    # no receive lands in a block that is still queued or half sent.
     chunk_elems = pipe.cfg.chunk_elems
     raw = memoryview(work).cast("B")
     s_off, s_len = segs[send_seg]

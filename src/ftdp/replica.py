@@ -502,12 +502,20 @@ class _RankWorker:
         for attempt in range(max(1, len(healthy))):
             if rt.mortality.dying.is_set():
                 return
+            step = want_step
             try:
                 donor = checkpoint.pick_donor(healthy, rt.rid, self.rank, attempt)
                 addr = rt.book.lookup(donor, self.rank)
-                p, m = checkpoint.fetch_shard(
-                    addr, want_step, self.rank, rt.rid, rt.incarnation, self.len,
-                    timeout_s=rt.cfg.timeouts.fetch_s, plan=rt.plan)
+                try:
+                    p, m = self._fetch(addr, step)
+                except checkpoint.SnapshotUnavailable as exc:
+                    # The donor committed the step this pull rides along
+                    # with before the pull reached it. Its new state is the
+                    # one installing want_step and updating would give.
+                    if exc.available != want_step + 1:
+                        raise
+                    step = want_step + 1
+                    p, m = self._fetch(addr, step)
             except (FtdpError, checkpoint.SnapshotUnavailable) as exc:
                 log.debug("replica %d rank %d: fetch attempt %d failed: %s",
                           rt.rid, self.rank, attempt, exc)
@@ -516,15 +524,22 @@ class _RankWorker:
                 log.warning("replica %d rank %d: donor shard size mismatch",
                             rt.rid, self.rank)
                 continue
-            self.fetched = _Fetched(want_step, np.frombuffer(p, dtype=np.float32),
+            self.fetched = _Fetched(step, np.frombuffer(p, dtype=np.float32),
                                     np.frombuffer(m, dtype=np.float32))
             return
 
+    def _fetch(self, addr: transport.PeerAddress, step: int):
+        rt = self.rt
+        return checkpoint.fetch_shard(addr, step, self.rank, rt.rid, rt.incarnation,
+                                      self.len, timeout_s=rt.cfg.timeouts.fetch_s,
+                                      plan=rt.plan)
+
     def join_fetch(self, want_step: int) -> bool:
+        """Whether want_step, or the step after it, is in hand."""
         t = self._fetch_thread
         if t is not None:
             t.join(timeout=self.rt.cfg.timeouts.fetch_s + 1.0)
-        return self.fetched is not None and self.fetched.step == want_step
+        return self.fetched is not None and self.fetched.step in (want_step, want_step + 1)
 
     # -- iteration ---------------------------------------------------------
 
@@ -654,19 +669,22 @@ class _RankWorker:
 
         if committed and (role == "healthy" or can_install):
             self.store.invalidate()  # fetches read the shard in place
+            updated = False  # a pull of the donor's new state needs no update
             if role != "healthy":
                 self.params_shard[:] = self.fetched.params
                 self.momentum_shard[:] = self.fetched.momentum
+                updated = self.fetched.step == target
                 self.fetched = None
-            h = len(decision.healthy)
-            denom = (h if rt.cfg.tuning.normalize_by == "healthy"
-                     else rt.cfg.topology.num_replicas) * rt.R
-            grad_shard *= np.float32(1.0 / denom)
-            lr = model.compute_lr(rt.lr_policy, target, h, rt.cfg.topology.num_replicas)
-            model.optimizer_step(
-                model.ModelState(rt.dims, self.params_shard, rt.step),
-                model.OptimizerState(self.momentum_shard, rt.cfg.tuning.momentum_beta),
-                grad_shard, lr, scratch=grad_shard)
+            if not updated:
+                h = len(decision.healthy)
+                denom = (h if rt.cfg.tuning.normalize_by == "healthy"
+                         else rt.cfg.topology.num_replicas) * rt.R
+                grad_shard *= np.float32(1.0 / denom)
+                lr = model.compute_lr(rt.lr_policy, target, h, rt.cfg.topology.num_replicas)
+                model.optimizer_step(
+                    model.ModelState(rt.dims, self.params_shard, rt.step),
+                    model.OptimizerState(self.momentum_shard, rt.cfg.tuning.momentum_beta),
+                    grad_shard, lr, scratch=grad_shard)
             self.params64_shard[:] = self.params_shard
             self.store.capture(target, self.params_shard, self.momentum_shard)
             if self.rank == 0:

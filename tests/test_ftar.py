@@ -6,6 +6,10 @@ starting at the segment's owner. That is the full determinism contract --
 every member must produce exactly those bits. The oracle recomputes the
 partition/segment geometry from the config on its own; geometry-specific
 guarantees (size cap, balance) are pinned separately in the plan tests.
+
+The behaviour tests' arrays are small, so their partitions take the gather
+path; test_ftar_ring.py runs them again with it switched off, and the tests
+at the end of this file pin both paths side by side.
 """
 
 import socket
@@ -623,15 +627,36 @@ def test_all_reduce_starts_no_thread(ring4, monkeypatch):
         np.testing.assert_array_equal(results[rid], expect)
 
 
-def test_chunk_cut_short_times_out_and_closes_links():
+def test_chunk_cut_short_times_out_and_closes_links(monkeypatch):
     """The left neighbor sends the expected chunk's header and 10 of its 16
     data bytes, then nothing: the wait times out, and the links close, so
-    the stream cut mid-frame is never read again."""
+    the stream cut mid-frame is never read again. The 16-byte chunk is a
+    segment of the ring path, forced here."""
+    monkeypatch.setattr(ftar, "GATHER_MAX_BYTES", 0)
     ring = Ring(2)
     try:
         ring.reconfig()
         frame = wire.encode_frame(wire.CHUNK_DATA, 1, 0,
                                   wire.encode_chunk(ring.gen, 0, 0, 0, bytes(16)))
+        ring.groups[1].right.sock.sendall(frame[:wire.CHUNK_FRAME.size + 10])
+        cfg = ftar.PipelineConfig(chunk_bytes=64, max_in_flight=1, per_chunk_timeout_s=0.4)
+        results = ring.all_reduce({0: np.ones(8, dtype=np.float32)}, 1, cfg, [0])
+        assert isinstance(results[0], errors.Recoverable)
+        assert results[0].reason == errors.TIMEOUT
+        assert not ring.groups[0].links_ready()
+    finally:
+        ring.close()
+
+
+def test_gather_chunk_cut_short_times_out_and_closes_links():
+    """The gather twin of the test above: the expected chunk is a member's
+    whole 32-byte block, and only its header and 10 data bytes come."""
+    assert ftar.GATHER_MAX_BYTES >= 32
+    ring = Ring(2)
+    try:
+        ring.reconfig()
+        frame = wire.encode_frame(wire.CHUNK_DATA, 1, 0,
+                                  wire.encode_chunk(ring.gen, 0, 0, 0, bytes(32)))
         ring.groups[1].right.sock.sendall(frame[:wire.CHUNK_FRAME.size + 10])
         cfg = ftar.PipelineConfig(chunk_bytes=64, max_in_flight=1, per_chunk_timeout_s=0.4)
         results = ring.all_reduce({0: np.ones(8, dtype=np.float32)}, 1, cfg, [0])
@@ -688,5 +713,126 @@ def test_stale_chunks_of_other_lengths_are_skipped():
         rng = np.random.default_rng(5)
         arrays = [rng.standard_normal(10).astype(np.float32) for _ in range(2)]
         run_case(ring, [0, 1], arrays, 1, cfg)
+    finally:
+        ring.close()
+
+
+# ---------------------------------------------------------------- both paths
+
+
+# The gather path's limit in floats, read before any test patches it.
+GATHER_LIMIT = ftar.GATHER_MAX_BYTES // 4
+
+
+@pytest.fixture(params=["ring", "gather"])
+def path(request):
+    """The ring case switches the gather path off; the gather case keeps
+    the module's size limit, so larger partitions still take the ring."""
+    with pytest.MonkeyPatch.context() as mp:
+        if request.param == "ring":
+            mp.setattr(ftar, "GATHER_MAX_BYTES", 0)
+        yield request.param
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_both_paths_match_oracle_bit_for_bit(path, n):
+    rng = np.random.default_rng(100 + n)
+    small = ftar.PipelineConfig(chunk_bytes=8, max_in_flight=2, per_chunk_timeout_s=5.0)
+    whole = ftar.PipelineConfig(chunk_bytes=4096, max_in_flight=4, per_chunk_timeout_s=5.0)
+    cases = [(small, length) for length in (1, n - 1, n, 37, 301)]
+    # Single partitions just below, at and above the limit, and several
+    # partitions that straddle it.
+    cases += [(whole, length)
+              for length in (GATHER_LIMIT - 1, GATHER_LIMIT, GATHER_LIMIT + 1,
+                             3 * GATHER_LIMIT + 5)]
+    ring = Ring(n)
+    try:
+        ring.reconfig()
+        for step, (cfg, length) in enumerate(cases, start=1):
+            scale = 10.0 ** rng.integers(-3, 4)
+            arrays = [(rng.standard_normal(length) * scale).astype(np.float32)
+                      for _ in range(n)]
+            run_case(ring, list(range(n)), arrays, step, cfg)
+    finally:
+        ring.close()
+
+
+# Chunk receives per member for 12 floats: a 12-float block per hop on the
+# gather path, a 12/n-float segment per hop on the ring.
+HOP_CHUNKS = {
+    4096: {"gather": {2: 1, 3: 2, 4: 3}, "ring": {2: 2, 3: 4, 4: 6}},
+    8: {"gather": {2: 6, 3: 12, 4: 18}, "ring": {2: 6, 3: 8, 4: 12}},
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("chunk_bytes", [4096, 8])
+def test_hops_per_small_all_reduce(path, n, chunk_bytes, monkeypatch):
+    """One small all-reduce in one partition: each member receives n-1
+    blocks on the gather path and 2(n-1) segments on the ring. With 4 KiB
+    chunks each block or segment is one chunk, with 8-byte chunks several."""
+    cfg = ftar.PipelineConfig(chunk_bytes=chunk_bytes, max_in_flight=6,
+                              per_chunk_timeout_s=5.0)
+    ring = Ring(n)
+    try:
+        ring.reconfig()
+        assert len(ftar.build_partition_plan(12 * 4, cfg, n).partitions) == 1
+        member_of = {ring.groups[rid].left: rid for rid in range(n)}
+        recvs = {rid: 0 for rid in range(n)}
+        real_recv = ftar._Pipe.recv
+
+        def counting_recv(self, *args):
+            recvs[member_of[self.left]] += 1
+            real_recv(self, *args)
+
+        monkeypatch.setattr(ftar._Pipe, "recv", counting_recv)
+        rng = np.random.default_rng(n)
+        run_case(ring, list(range(n)),
+                 [rng.standard_normal(12).astype(np.float32) for _ in range(n)], 1, cfg)
+        expect = HOP_CHUNKS[chunk_bytes][path][n]
+        assert recvs == {rid: expect for rid in range(n)}
+    finally:
+        ring.close()
+
+
+def test_member_killed_mid_gather_leaves_whole_partitions(monkeypatch):
+    """Member 2 of 3 dies after the first hop of partition 1 of 3. The
+    survivors fail recoverably with partition 0 reduced and partitions 1
+    and 2 as they were, and a retry under a new generation gives the
+    oracle's bits."""
+    ring = Ring(3)
+    try:
+        ring.reconfig()
+        # cap = 16 * 2 * 3 bytes: three 20-float partitions, gathered in
+        # 80-byte blocks of five chunks.
+        cfg = ftar.PipelineConfig(chunk_bytes=16, max_in_flight=2, per_chunk_timeout_s=1.0)
+        plan = ftar.build_partition_plan(60 * 4, cfg, 3)
+        assert plan.partitions == [(0, 20), (20, 20), (40, 20)]
+        assert 20 * 4 <= ftar.GATHER_MAX_BYTES
+        victim = ring.groups[2]
+        real_recv = ftar._Pipe.recv
+
+        def die_after_first_hop(self, ring_step, *args):
+            if self.left is victim.left and self.part_idx == 1 and ring_step == 1:
+                victim.close_links()
+                raise errors.Recoverable(errors.PEER_RESET, "scripted death")
+            real_recv(self, ring_step, *args)
+
+        monkeypatch.setattr(ftar._Pipe, "recv", die_after_first_hop)
+        rng = np.random.default_rng(31)
+        arrays = [rng.standard_normal(60).astype(np.float32) for _ in range(3)]
+        bufs = {rid: arrays[rid].copy() for rid in range(3)}
+        results = ring.all_reduce(bufs, 1, cfg, [0, 1, 2])
+        monkeypatch.undo()
+        expect = oracle_reduce(arrays, cfg.chunk_bytes, cfg.max_in_flight)
+        for rid in (0, 1):
+            assert isinstance(results[rid], errors.Recoverable), results[rid]
+            np.testing.assert_array_equal(bufs[rid][:20], expect[:20])
+            np.testing.assert_array_equal(bufs[rid][20:], arrays[rid][20:])
+
+        ring.reconfig()
+        cfg2 = ftar.PipelineConfig(chunk_bytes=16, max_in_flight=2, per_chunk_timeout_s=5.0)
+        run_case(ring, [0, 1, 2], arrays, 1, cfg2)
+        assert all(g.generation == 2 for g in ring.groups)
     finally:
         ring.close()

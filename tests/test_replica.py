@@ -641,6 +641,47 @@ def test_intra_waits_per_rank_per_step(tmp_path, monkeypatch):
     assert waits("behind", False, installed=False) <= {3}
 
 
+def test_pull_that_reaches_its_donor_late_installs_the_donors_new_state(tmp_path,
+                                                                      monkeypatch):
+    """Replica 1 of 2x2 is killed at step 3 and lags on step 6, pulling step
+    5 from replica 0, its one donor. Each rank's pull is held until the donor
+    has committed step 6, so the donor answers that it holds 6. The pull
+    then takes step 6 itself, and replica 1 installs it in place of step 5
+    plus the update: it is healthy again from step 7, and every replica
+    records the same state."""
+    real_fetch = checkpoint.fetch_shard
+    asked = {}  # rank -> steps requested, in order
+
+    def late_pull(addr, step, rank, *args, **kwargs):
+        first = rank not in asked
+        asked.setdefault(rank, []).append(step)
+        deadline = time.monotonic() + 5.0
+        while first and time.monotonic() < deadline:
+            try:
+                real_fetch(addr, step, rank, *args, **kwargs)
+            except checkpoint.SnapshotUnavailable as exc:
+                if exc.available == step + 1:
+                    raise
+            time.sleep(0.002)
+        return real_fetch(addr, step, rank, *args, **kwargs)
+
+    monkeypatch.setattr(checkpoint, "fetch_shard", late_pull)
+    cfg = quick_scenario(num_replicas=2, ranks=2, total_steps=8,
+                         failures=[kill_failure(3, 3, (1,))])
+    cluster = Cluster(cfg, str(tmp_path))
+    assert cluster.run(timeout_s=60) == {0: 0, 1: 0}
+    cluster.validate_ledger()
+    hashes = assert_replicas_agree(str(tmp_path))
+    assert asked == {0: [5, 6], 1: [5, 6]}
+    rows = read_metrics(str(tmp_path))
+    h = {r["step"]: r["healthy_count"] for r in rows
+         if r["replica_id"] == 0 and r["phase"] == "commit"}
+    assert h == {1: 2, 2: 2, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2, 8: 2}
+    assert any(r["step"] == 6 and r["replica_id"] == 1
+               and r["event"] == "catch-up" for r in rows)
+    assert (6, 1) in read_hashes(str(tmp_path)) and 8 in hashes
+
+
 def test_kill_run_is_bitwise_deterministic(tmp_path):
     cfg = quick_scenario(num_replicas=3, ranks=1, total_steps=8,
                          failures=[kill_failure(3, 2, (2,))])
