@@ -9,8 +9,8 @@ overlapping send/reduce/recv work, not from hiding latency; the point of
 the grid is a regression check, not a network model.
 
 Both configurations reduce through ftar_all_reduce, so a partition of at
-most ftar.GATHER_MAX_BYTES per member (64 KiB) takes the gather path and
-measures it, not the ring. The CLI's sizes are whole MiB, so they always
+most ftar.GATHER_MAX_BYTES per member (64 KiB) with few chunks per block
+takes the gather path and measures it, not the ring (ftar._gathers). The CLI's sizes are whole MiB, so they always
 measure the ring; smaller sizes_mib passed to bench_ftar can reach the
 gather path.
 """

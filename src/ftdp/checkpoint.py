@@ -16,10 +16,12 @@ Three cooperating pieces:
   a crash mid-write can never produce a loadable half-checkpoint.
 
 * The data-loader ledger: a single append-only text file with one
-  "step,replica_id,cursor" line per replica commit. Appends are single
-  O_APPEND writes, parsing tolerates a torn final line, and a validator
-  checks the exactly-once contract: per replica, steps strictly increase
-  and every line advances the cursor by exactly the rank count.
+  "step,replica_id,cursor" line per replica commit. Its one writer is the
+  quorum coordinator, which appends a step's lines in one O_APPEND write
+  before the commit leaves, so the file is in step order. Parsing
+  tolerates a torn final line, and a validator checks the exactly-once
+  contract: per replica, steps strictly increase and every line advances
+  the cursor by exactly the rank count.
 """
 
 from __future__ import annotations
@@ -224,14 +226,17 @@ def find_latest(ckpt_dir: str) -> tuple[int, dict] | None:
 # ------------------------------------------------------------------ ledger
 
 class LoaderLedger:
-    """Append-only consumption record shared by every replica in a run."""
+    """Append-only consumption record of a run; its one writer is the quorum
+    coordinator."""
 
     def __init__(self, path: str):
         self.path = path
         self._fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
 
-    def append(self, step: int, replica_id: int, cursor: int) -> None:
-        os.write(self._fd, f"{step},{replica_id},{cursor}\n".encode())
+    def append(self, step: int, cursors: dict[int, int]) -> None:
+        """One line per replica that committed step, in one write."""
+        os.write(self._fd, "".join(f"{step},{rid},{cursor}\n"
+                                   for rid, cursor in cursors.items()).encode())
 
     def close(self) -> None:
         if self._fd >= 0:

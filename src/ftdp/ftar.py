@@ -4,11 +4,12 @@ A message is split into partitions of at most chunk_bytes * max_in_flight
 * N bytes, and each partition is reduced on one of two paths over the same
 ring links:
 
-- A partition of at most GATHER_MAX_BYTES per member is gathered whole:
-  in N-1 ring steps every member forwards each member's copy of it, so
-  each member ends with all N copies and folds them itself. A small
-  partition costs hop latency, not bytes, and this takes half the ring's
-  hops.
+- A partition of at most GATHER_MAX_BYTES per member is gathered whole,
+  unless its chunks are so small that a block needs many more chunk frames
+  than two segments (_gathers): in N-1 ring steps every member forwards
+  each member's copy of it, so each member ends with all N copies and
+  folds them itself. A small partition costs hop latency, not bytes, and
+  this takes half the ring's hops.
 - A larger partition runs as ReduceScatter then AllGather, each N-1 ring
   steps, so each member sends only about twice the partition.
 
@@ -62,11 +63,16 @@ log = logging.getLogger(__name__)
 
 ELEM = 4  # float32 bytes; all payloads are float32 vectors
 
-# Partitions of at most this many bytes per member take the gather path:
-# N-1 hops, each moving a whole block, instead of the ring's 2(N-1) hops
-# of one segment. It also bounds the gather's staging: N+1 times this per
-# rank. The value comes from a loopback crossover measurement (CHANGES.md).
+# Partitions of at most this many bytes per member may take the gather
+# path: N-1 hops, each moving a whole block, instead of the ring's 2(N-1)
+# hops of one segment. It also bounds the gather's staging: N+1 times this
+# per rank. The value comes from a loopback crossover measurement
+# (CHANGES.md).
 GATHER_MAX_BYTES = 64 * 1024
+
+# What a hop costs beyond the chunk frames it carries, counted in chunk
+# frames (see _gathers).
+HOP_FRAMES = 2
 
 
 @dataclass
@@ -95,9 +101,6 @@ class PartitionPlan:
     total_elems: int
     n_members: int
     partitions: list[tuple[int, int]]  # (offset_elems, length_elems)
-
-    def partition_bytes(self) -> list[tuple[int, int]]:
-        return [(off * ELEM, ln * ELEM) for off, ln in self.partitions]
 
 
 def build_partition_plan(total_bytes: int, cfg: PipelineConfig, n_members: int) -> PartitionPlan:
@@ -426,7 +429,7 @@ def _reduce_partition(group: RingGroup, buf: np.ndarray, part_idx: int,
     # Staging copy: the caller's region is rewritten only on completion.
     pipe = _Pipe(group.right, group.left, cfg, group.generation, step, part_idx, group.meter)
     try:
-        if p_len * ELEM <= GATHER_MAX_BYTES:
+        if _gathers(p_len, group.n, cfg.chunk_elems):
             work = _gather_fold(group, pipe, buf[p_off:p_off + p_len])
         else:
             work = _ring_reduce(group, pipe, buf[p_off:p_off + p_len])
@@ -434,6 +437,21 @@ def _reduce_partition(group: RingGroup, buf: np.ndarray, part_idx: int,
         pipe.close()
     _check_finite(work)
     buf[p_off:p_off + p_len] = work
+
+
+def _gathers(p_len: int, n: int, chunk_elems: int) -> bool:
+    """Whether a partition of p_len floats per member takes the gather: it
+    fits GATHER_MAX_BYTES, and a block needs no more chunk frames than two
+    of the ring's segments plus HOP_FRAMES, so that (N-1) * (block +
+    HOP_FRAMES) is at most 2(N-1) * (segment + HOP_FRAMES). With chunks far
+    below the partition a block takes about N/2 times the frames of two
+    segments, and the ring is cheaper."""
+    def frames(elems: int) -> int:
+        return -(-elems // chunk_elems)
+
+    largest_segment = -(-p_len // n)
+    return (p_len * ELEM <= GATHER_MAX_BYTES
+            and frames(p_len) <= 2 * frames(largest_segment) + HOP_FRAMES)
 
 
 def _ring_reduce(group: RingGroup, pipe: _Pipe, part: np.ndarray) -> np.ndarray:

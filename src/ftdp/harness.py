@@ -313,10 +313,11 @@ def run_scenario(scenario_path: str, run_dir: str,
     n = cfg.topology.num_replicas
     listener = transport.Listener()
     coordinator = QuorumCoordinator(
-        listener,
+        listener, os.path.join(run_dir, "ledger.txt"),
         round_deadline_s=cfg.timeouts.quorum_round_s,
         join_wait_s=cfg.timeouts.join_wait_s,
         expected_replicas=n,
+        vote_deadline_s=cfg.timeouts.two_pc_s,
     ).start()
     # Rejoin gates go in before any worker starts: each gate binds only the
     # replacement incarnation, so the round can be held at exactly the gate

@@ -73,10 +73,6 @@ class Batch:
     replica_id: int
     cursor: int
 
-    @property
-    def batch_id(self) -> tuple[int, int]:
-        return (self.replica_id, self.cursor)
-
 
 def _generator(*entropy: int) -> np.random.Generator:
     # Counter-based RNG: the same key always yields the same stream,
@@ -95,10 +91,6 @@ def init_model(dims: Dims, seed: int) -> ModelState:
     state.view("w2")[:] = (rng.standard_normal((dhid, dout)) / np.sqrt(dhid)).astype(np.float32)
     # biases stay zero
     return state
-
-
-def init_optimizer(dims: Dims, beta: float = 0.9) -> OptimizerState:
-    return OptimizerState(momentum=np.zeros(param_count(dims), dtype=np.float32), beta=beta)
 
 
 def task_map(data_seed: int, dims: Dims) -> np.ndarray:

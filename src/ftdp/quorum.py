@@ -28,7 +28,16 @@ opens, and the round is then held open briefly so it lands in the same
 decision on every run. The first round waits for every expected replica's
 report, up to the join wait, so a run starts with its whole group.
 
-QuorumEngine holds these rules; QuorumCoordinator serves them on one thread.
+The coordinator also chairs each step's commit. Every member's leader
+votes on the link it reports on once its all-reduce is over; the
+coordinator commits once every healthy member has voted yes, appending
+their ledger lines in one write before the outcome leaves, and retries on
+any healthy member's no vote, lost link or silence. Every member hears the
+outcome, and as the ledger's one writer the coordinator keeps it in step
+order.
+
+QuorumEngine holds the decision rules; QuorumCoordinator serves them, and
+the commit vote, on one thread.
 """
 
 from __future__ import annotations
@@ -37,19 +46,20 @@ import logging
 import math
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ftdp import transport, wire
+from ftdp import checkpoint, transport, wire
 from ftdp.errors import (
-    Fatal, INTERNAL_INVARIANT, PEER_DOWN, PEER_RESET, PROTOCOL_VIOLATION, Recoverable,
+    Fatal, INTERNAL_INVARIANT, PEER_DOWN, PEER_RESET, PROTOCOL_VIOLATION, TIMEOUT, Recoverable,
 )
 
 log = logging.getLogger(__name__)
 
 ROUND_DEADLINE_S = 2.0
 JOIN_WAIT_S = 10.0
+VOTE_DEADLINE_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -117,10 +127,6 @@ class QuorumEngine:
         queue = self._admission.setdefault(replica_id, [])
         queue.append((not_before_step, min_incarnation))
         queue.sort()
-
-    def admission_gate(self, replica_id: int) -> int | None:
-        queue = self._admission.get(replica_id)
-        return queue[0][0] if queue else None
 
     def drop_admission(self, replica_id: int) -> None:
         """Discard the earliest gate only: later gates belong to failures
@@ -213,7 +219,8 @@ class QuorumEngine:
 
 
 class QuorumClient:
-    """Leader-rank side: one report, one decision, strictly alternating."""
+    """Leader-rank side: one report, one decision, then (on a member) one
+    vote and its outcome, strictly alternating."""
 
     def __init__(self, addr: transport.PeerAddress, replica_id: int, incarnation: int,
                  round_deadline_s: float = ROUND_DEADLINE_S, join_wait_s: float = JOIN_WAIT_S,
@@ -247,6 +254,8 @@ class QuorumClient:
                 self.conn.send_frame(wire.QUORUM_REPORT, next_step, self.last_epoch, payload)
                 continue
             if frame.msg_type != wire.QUORUM_DECISION:
+                if _epoch_of(frame) <= self.last_epoch:
+                    continue  # the outcome of a vote this leader left
                 raise Fatal(PROTOCOL_VIOLATION, f"expected QUORUM_DECISION, got {frame.name}")
             decision = Decision.decode(frame.payload)
             if decision.epoch <= self.last_epoch:
@@ -254,12 +263,53 @@ class QuorumClient:
             self.last_epoch = decision.epoch
             return decision
 
+    def vote(self, decision: Decision, ok: bool, cursor: int, timeout_s: float) -> bool:
+        """Vote on decision's step and wait for the coordinator's outcome:
+        True on COMMIT. No outcome within timeout_s is PEER_DOWN, since the
+        step may have committed without this replica hearing of it."""
+        self.conn.send_frame(wire.QUORUM_VOTE, decision.target_step, decision.epoch,
+                             wire.encode_vote(decision.epoch, decision.target_step,
+                                              self.replica_id, self.incarnation, ok, cursor))
+        deadline = time.monotonic() + timeout_s
+        while True:
+            try:
+                frame = self.conn.recv_frame(timeout=deadline - time.monotonic())
+            except Recoverable as exc:
+                if exc.reason != TIMEOUT:
+                    raise
+                raise Recoverable(PEER_DOWN, "quorum coordinator sent no outcome") from exc
+            epoch = _epoch_of(frame)
+            if epoch < decision.epoch:
+                continue  # from a superseded round
+            if epoch > decision.epoch or frame.msg_type not in (wire.COMMIT, wire.RETRY):
+                raise Fatal(PROTOCOL_VIOLATION,
+                            f"expected the outcome of epoch {decision.epoch}, got {frame.name}")
+            return frame.msg_type == wire.COMMIT
+
     def close(self) -> None:
         self.conn.close()
 
 
+def _epoch_of(frame: wire.Frame) -> int:
+    """The epoch a frame from the coordinator answers."""
+    if frame.msg_type == wire.QUORUM_DECISION:
+        return Decision.decode(frame.payload).epoch
+    if frame.msg_type in (wire.COMMIT, wire.RETRY):
+        return wire.decode_outcome(frame.payload)[0]
+    raise Fatal(PROTOCOL_VIOLATION, f"unexpected {frame.name} from the coordinator")
+
+
+@dataclass
+class _Vote:
+    """The commit vote on one decision's step."""
+    decision: Decision
+    cursors: dict[int, int] = field(default_factory=dict)  # healthy replica -> cursor, once yes
+    opened: float | None = None  # when its first vote came
+
+
 class QuorumCoordinator(transport.SelectorService):
-    """TCP service running the decision engine on one thread.
+    """TCP service running the decision engine and the commit vote on one
+    thread.
 
     The thread is one selectors loop (serve) over the listener and every
     leader's link. It greets each dialer, admits a quorum link under
@@ -267,24 +317,38 @@ class QuorumCoordinator(transport.SelectorService):
     reports as they arrive and closes the round once every connected
     replica has reported (or the round deadline passes, or only a scheduled
     joiner is missing and the longer join wait applies), then answers every
-    report of the round with the decision. Between events the loop sleeps
-    until the next of these deadlines; expect_join may come from any thread.
+    report of the round with the decision.
+
+    A decision with a healthy set opens the commit vote on its step, and a
+    newer one replaces it (the older vote ends in RETRY). Each member's
+    leader votes on the same link once its all-reduce is over. The vote
+    ends in COMMIT once every healthy member has voted yes; before the
+    COMMIT leaves, the ledger gets every healthy member's line in one write.
+    It ends in RETRY at once on a healthy member's no vote or lost link, and
+    otherwise vote_deadline_s after its first vote. Every member with a link
+    hears the outcome; a lagging member's vote only starts that clock.
+    Between events the loop sleeps until the next of these deadlines;
+    expect_join may come from any thread.
     """
 
-    def __init__(self, listener: transport.Listener,
+    def __init__(self, listener: transport.Listener, ledger_path: str,
                  round_deadline_s: float = ROUND_DEADLINE_S,
                  join_wait_s: float = JOIN_WAIT_S,
-                 expected_replicas: int | None = None):
+                 expected_replicas: int | None = None,
+                 vote_deadline_s: float = VOTE_DEADLINE_S):
         super().__init__(listener, "quorum")
         self.engine = QuorumEngine()
         self.round_deadline_s = round_deadline_s
         self.join_wait_s = join_wait_s
         self.expected_replicas = expected_replicas
+        self.vote_deadline_s = vote_deadline_s
+        self.ledger = checkpoint.LoaderLedger(ledger_path)
         self._assembled = expected_replicas is None
         self._lock = threading.Lock()  # the engine; expect_join comes from other threads
         self._links: dict[int, transport.Inbound] = {}  # replica -> its admitted link
         self._reports: dict[int, Report] = {}  # the open round's, by replica
         self._opened: float | None = None  # when the open round's first report came
+        self._vote: _Vote | None = None  # the open commit vote
 
     def expect_join(self, replica_id: int, not_before_step: int,
                     min_incarnation: int = 0) -> None:
@@ -292,11 +356,14 @@ class QuorumCoordinator(transport.SelectorService):
             self.engine.admit_after(replica_id, not_before_step, min_incarnation)
 
     def _loop(self) -> None:
-        self.serve(self._read, self._close_round_when_due)
+        try:
+            self.serve(self._read, self._tick)
+        finally:
+            self.ledger.close()
 
     def _read(self, link: transport.Inbound) -> None:
-        """Greet link or take its reports, as far as its socket allows; drop
-        it on a fault."""
+        """Greet link or take its reports and votes, as far as its socket
+        allows; drop it on a fault."""
         conn = link.conn
         try:
             if link.hello is None:
@@ -304,13 +371,19 @@ class QuorumCoordinator(transport.SelectorService):
                 if link.hello is None:
                     return
                 self._admit(link)
-            while (frame := conn.poll_frame(wire.REPORT_LEN)) is not None:
-                if frame.msg_type != wire.QUORUM_REPORT:
+            while (frame := conn.poll_frame(max(wire.REPORT_LEN, wire.VOTE_LEN))) is not None:
+                if frame.msg_type == wire.QUORUM_REPORT:
+                    _epoch, next_step, rid, incarnation = wire.decode_report(frame.payload)
+                elif frame.msg_type == wire.QUORUM_VOTE:
+                    epoch, _target, rid, _inc, ok, cursor = wire.decode_vote(frame.payload)
+                else:
                     raise Fatal(PROTOCOL_VIOLATION, f"unexpected {frame.name}")
-                _epoch, next_step, replica_id, incarnation = wire.decode_report(frame.payload)
-                if replica_id != link.hello.replica_id:
-                    raise Fatal(PROTOCOL_VIOLATION, f"report of replica {replica_id}")
-                self._reports[replica_id] = Report(next_step, incarnation)
+                if rid != link.hello.replica_id:
+                    raise Fatal(PROTOCOL_VIOLATION, f"{frame.name} of replica {rid}")
+                if frame.msg_type == wire.QUORUM_VOTE:
+                    self._take_vote(epoch, rid, ok, cursor)
+                    continue
+                self._reports[rid] = Report(next_step, incarnation)
                 if self._opened is None:
                     self._opened = time.monotonic()
         except (Recoverable, Fatal) as exc:
@@ -337,6 +410,53 @@ class QuorumCoordinator(transport.SelectorService):
         link.drop(self._sel)
         if link.hello and self._links.get(link.hello.replica_id) is link:
             del self._links[link.hello.replica_id]
+            if self._vote and link.hello.replica_id in self._vote.decision.healthy:
+                self._end_vote(commit=False)
+
+    def _send(self, replicas, msg_type: int, step: int, epoch: int, payload: bytes) -> None:
+        """One frame to each of replicas that has a link; a link that cannot
+        take it is dropped."""
+        for link in [self._links[rid] for rid in replicas if rid in self._links]:
+            try:
+                link.conn.send_frame(msg_type, step, epoch, payload, timeout=1.0)
+            except (Recoverable, Fatal):
+                self._drop(link)
+
+    def _take_vote(self, epoch: int, replica_id: int, ok: bool, cursor: int) -> None:
+        vote = self._vote
+        if vote is None or epoch != vote.decision.epoch:
+            return  # a vote on a step whose outcome is out
+        if vote.opened is None:
+            vote.opened = time.monotonic()
+        if replica_id not in vote.decision.healthy:
+            return
+        if not ok:
+            self._end_vote(commit=False)
+            return
+        vote.cursors[replica_id] = cursor
+        if len(vote.cursors) == len(vote.decision.healthy):
+            self._end_vote(commit=True)
+
+    def _end_vote(self, commit: bool) -> None:
+        """Send the open vote's outcome to its members; a COMMIT only once
+        the ledger holds the step's lines."""
+        vote, self._vote = self._vote, None
+        d = vote.decision
+        if commit:
+            self.ledger.append(d.target_step, {rid: vote.cursors[rid] for rid in d.healthy})
+        self._send(d.members, wire.COMMIT if commit else wire.RETRY, d.target_step, d.epoch,
+                   wire.encode_outcome(d.epoch, d.target_step))
+
+    def _tick(self, now: float) -> float:
+        """End the vote or close the round if due; return when one next
+        could without a new event (inf: never)."""
+        vote_due = math.inf
+        if self._vote and self._vote.opened is not None:
+            vote_due = self._vote.opened + self.vote_deadline_s
+            if now >= vote_due:
+                self._end_vote(commit=False)
+                vote_due = math.inf
+        return min(vote_due, self._close_round_when_due(now))
 
     def _close_round_when_due(self, now: float) -> float:
         """Close the open round if its rules allow; otherwise return when
@@ -367,13 +487,14 @@ class QuorumCoordinator(transport.SelectorService):
                                 "its window; de-scheduling", rid)
                     self.engine.drop_admission(rid)
             decision = self.engine.decide(batch)
-        payload = decision.encode()
-        for link in [self._links[rid] for rid in batch if rid in self._links]:
-            try:
-                link.conn.send_frame(wire.QUORUM_DECISION, decision.target_step,
-                                     decision.epoch, payload, timeout=1.0)
-            except (Recoverable, Fatal):
-                self._drop(link)
+        self._send(batch, wire.QUORUM_DECISION, decision.target_step, decision.epoch,
+                   decision.encode())
+        if decision.healthy:
+            if self._vote:
+                self._end_vote(commit=False)
+            self._vote = _Vote(decision)
+            if not self._links.keys() >= set(decision.healthy):
+                self._end_vote(commit=False)
         return math.inf
 
 

@@ -22,12 +22,13 @@ shard of the previous committed state from a healthy donor; if every rank's
 pull lands, applying the freshly reduced gradient on the pulled state yields
 bit-identical parameters to the healthy peers in a single step.
 
-Whether a step commits is settled by a two-phase round chaired by the lowest
-healthy replica id: healthy members vote their collective's success, the
-chair broadcasts commit/retry to every member (lagging ones included). A
-retry recomputes the same step from unchanged cursors after the next
-decision; consumption stays exactly-once because the shared ledger line is
-appended only around the commit edge, before anything irreversible.
+Whether a step commits is settled by the quorum coordinator: each member's
+leader sends one vote on the link it reports on (healthy members vote their
+collective's success, lagging ones only their install status), and the
+coordinator answers every member with commit or retry. A retry recomputes
+the same step from unchanged cursors after the next decision; consumption
+stays exactly-once because the coordinator appends every healthy member's
+ledger line before the commit leaves, so before anything irreversible.
 
 Beside the rank threads, the main thread joins them and watches their
 progress (watch_ranks), and one I/O thread (transport.ConnectionRouter)
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ftdp import checkpoint, ftar, model, transport, wire
+from ftdp import checkpoint, ftar, model, transport
 from ftdp.errors import (
     PEER_DOWN,
     ConfigError,
@@ -130,32 +131,9 @@ def watch_ranks(threads: list[threading.Thread], mortality: Mortality,
 # Peer discovery
 
 
-class AddressBook:
-    """Maps replica ids to dialable endpoints; ranks share the endpoint."""
-
-    def lookup(self, replica_id: int, rank: int) -> transport.PeerAddress:
-        raise NotImplementedError
-
-
-class StaticBook(AddressBook):
-    """Dict-backed book for in-process clusters; respawns overwrite."""
-
-    def __init__(self, host: str = "127.0.0.1"):
-        self.host = host
-        self._ports: dict[int, int] = {}
-
-    def publish(self, replica_id: int, incarnation: int, port: int) -> None:
-        self._ports[replica_id] = port
-
-    def lookup(self, replica_id: int, rank: int) -> transport.PeerAddress:
-        port = self._ports.get(replica_id)
-        if port is None:
-            raise Recoverable(PEER_DOWN, f"replica {replica_id} not published")
-        return transport.PeerAddress(replica_id, rank, self.host, port)
-
-
-class FilePortBook(AddressBook):
-    """Append-only ports file shared by the worker processes of one run.
+class FilePortBook:
+    """Append-only ports file shared by the replicas of one run, which all
+    listen on one host; it maps a replica id to its dialable endpoint.
 
     Lines are "replica,incarnation,port"; the newest incarnation wins, so a
     respawned replica shadows its dead predecessor the moment it binds.
@@ -292,162 +270,35 @@ class IntraGroup:
 
 
 # ---------------------------------------------------------------------------
-# Commit protocol (leader ranks only)
+# Commit vote (leader ranks only)
 
 
 class ControlPlane:
-    """Two-phase commit star over the leaders, rebuilt per generation.
-
-    The chair is the lowest healthy replica id. Non-chair members dial the
-    chair's router with the generation in their hello; stale-generation
-    dials are discarded on the chair side, so a retried step can never see
-    frames from the attempt it replaced.
+    """The leader's side of the commit vote, which the quorum coordinator
+    chairs on the link the leader reports on (see quorum.QuorumCoordinator).
     """
 
-    def __init__(self, replica_id: int, incarnation: int,
-                 router: transport.ConnectionRouter, book: AddressBook,
-                 timeout_s: float = 5.0):
-        self.rid = replica_id
-        self.incarnation = incarnation
-        self.router = router
-        self.book = book
+    def __init__(self, client: QuorumClient, timeout_s: float = 5.0):
+        self.client = client
         self.timeout_s = timeout_s
-        self.generation = -1
-        self.chair: int | None = None
-        self.up: transport.Connection | None = None
-        self.members: dict[int, transport.Connection] = {}
 
-    def close(self) -> None:
-        if self.up is not None:
-            self.up.close()
-            self.up = None
-        for conn in self.members.values():
-            conn.close()
-        self.members.clear()
-        self.chair = None
-
+    # Nothing in ftdp calls reconfig; perfbench's trace hook wraps it by name.
     def reconfig(self, decision: Decision) -> bool:
-        """Rebuild the star for a new generation. Best effort: a member that
-        never dials in is simply absent and costs the round a retry."""
-        self.close()
-        self.generation = decision.generation
-        members = decision.members
-        if self.rid not in members or not decision.healthy:
-            return True
-        self.chair = min(decision.healthy)
-        gen = self.generation
-        if self.chair != self.rid:
-            try:
-                self.up = transport.connect(
-                    self.book.lookup(self.chair, 0), wire.HELLO_CTRL,
-                    (self.rid, 0, self.incarnation, gen), deadline_s=self.timeout_s)
-            except Recoverable as exc:
-                log.warning("replica %d: cannot reach chair %d: %s",
-                            self.rid, self.chair, exc.detail)
-                return False
-            return True
-        want = set(members) - {self.rid}
-        deadline = time.monotonic() + self.timeout_s
-        while want and time.monotonic() < deadline:
-            try:
-                hello, conn = self.router.take(
-                    wire.HELLO_CTRL,
-                    pred=lambda h: h.aux == gen and h.rank_id == 0 and h.replica_id in want,
-                    timeout=max(0.01, deadline - time.monotonic()),
-                    discard=lambda h: h.aux < gen)
-            except Recoverable:
-                break
-            self.members[hello.replica_id] = conn
-            want.discard(hello.replica_id)
-        if want:
-            log.warning("chair %d: members %s never dialed in", self.rid, sorted(want))
         return True
 
-    def round(self, decision: Decision, vote: bool, on_commit=None) -> bool:
-        """Run one commit round; returns True to commit, False to retry.
+    def round(self, decision: Decision, ok: bool, cursor: int = 0) -> bool:
+        """Vote on decision's step and return its outcome: True to commit.
 
-        on_commit fires exactly once on the commit edge: on the chair before
-        the outcome leaves (write-ahead), on members upon receiving it.
-        Lagging members pass nothing and only await the outcome.
+        A healthy member votes its collective's success and its cursor after
+        the step; a lagging one votes its install status, which decides
+        nothing. A replica outside the decision, or in one with no healthy
+        member, has no vote, and neither has a solo member that failed.
         """
-        if self.rid not in decision.members or not decision.healthy:
+        if self.client.replica_id not in decision.members or not decision.healthy:
             return False
-        if len(decision.members) == 1:
-            if vote and on_commit is not None:
-                on_commit()
-            return vote
-        if self.chair == self.rid:
-            return self._chair_round(decision, vote, on_commit)
-        if self.rid in decision.healthy:
-            return self._member_round(decision.target_step, vote, on_commit)
-        return self._await_outcome(decision.target_step, on_commit)
-
-    def _chair_round(self, decision: Decision, vote: bool, on_commit) -> bool:
-        target = decision.target_step
-        others = [rid for rid in decision.healthy if rid != self.rid]
-        # A no vote of the chair's own, or a member that never dialed in,
-        # settles the round: no PREPARE goes out and every member hears
-        # RETRY at once. A member takes a RETRY in place of PREPARE as the
-        # outcome, so no PREPARED is left behind on the star.
-        ok = vote and all(rid in self.members for rid in others)
-        voters = []
-        if ok:
-            for rid in others:
-                conn = self.members[rid]
-                try:
-                    conn.send_frame(wire.PREPARE, target, 0,
-                                    wire.encode_2pc(target, self.incarnation, 1),
-                                    timeout=self.timeout_s)
-                    voters.append((rid, conn))
-                except FtdpError:
-                    ok = False
-        for rid, conn in voters:
-            try:
-                frame = conn.recv_frame(timeout=self.timeout_s)
-                step, _inc, v = wire.decode_2pc(frame.payload)
-                if frame.msg_type != wire.PREPARED or step != target or not v:
-                    ok = False
-            except FtdpError:
-                ok = False
-        if ok and on_commit is not None:
-            on_commit()
-        outcome = wire.COMMIT if ok else wire.RETRY
-        payload = wire.encode_2pc(target, self.incarnation, 1 if ok else 0)
-        for rid, conn in self.members.items():
-            try:
-                conn.send_frame(outcome, target, 0, payload, timeout=self.timeout_s)
-            except FtdpError:
-                log.debug("chair %d: outcome to %d failed", self.rid, rid)
-        return ok
-
-    def _member_round(self, target: int, vote: bool, on_commit) -> bool:
-        if self.up is None or self.up.closed:
+        if len(decision.members) == 1 and not ok:
             return False
-        try:
-            frame = self.up.recv_frame(timeout=self.timeout_s)
-            step, _inc, _v = wire.decode_2pc(frame.payload)
-            if frame.msg_type != wire.PREPARE or step != target:
-                return False
-            self.up.send_frame(wire.PREPARED, target, 0,
-                               wire.encode_2pc(target, self.incarnation, 1 if vote else 0),
-                               timeout=self.timeout_s)
-        except FtdpError:
-            return False
-        return self._await_outcome(target, on_commit)
-
-    def _await_outcome(self, target: int, on_commit=None) -> bool:
-        if self.up is None or self.up.closed:
-            return False
-        try:
-            frame = self.up.recv_frame(timeout=self.timeout_s * 2)
-        except FtdpError:
-            return False
-        step, _inc, _v = wire.decode_2pc(frame.payload)
-        if step != target or frame.msg_type != wire.COMMIT:
-            return False
-        if on_commit is not None:
-            on_commit()
-        return True
+        return self.client.vote(decision, ok, cursor, 2 * self.timeout_s)
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +435,6 @@ class _RankWorker:
             # Parked this round (e.g. gated rejoiner): drop stale links and
             # poll again. No further sync points, uniformly across ranks.
             self.ring.close_links()
-            if self.rank == 0:
-                rt.ctrl.close()
             return True
         else:
             return True
@@ -609,8 +458,6 @@ class _RankWorker:
                 log.warning("replica %d rank %d: reconfig failed: %s",
                             rt.rid, self.rank, exc.detail)
                 rc_ok = False
-            if self.rank == 0:
-                rc_ok = rt.ctrl.reconfig(decision) and rc_ok
             link_ok = all(rt.intra.exchange(self.rank, rc_ok))
 
         # Phase 2: compute (healthy) or zero-contribute and pull (lagging).
@@ -645,14 +492,14 @@ class _RankWorker:
         vote = all(s[0] for s in statuses)
         can_install = all(s[1] for s in statuses)
 
-        # Phase 4: commit round among leaders, outcome fanned back out.
+        # Phase 4: the leader's commit vote, outcome fanned back out.
         self.mark()
         if self.rank == 0:
             t0 = time.monotonic()
-            on_commit = None
             if role == "healthy":
-                on_commit = lambda: rt.ledger.append(target, rt.rid, rt.cursor + rt.R)
-            rt.outcome = rt.ctrl.round(decision, vote and role == "healthy", on_commit)
+                rt.outcome = rt.ctrl.round(decision, vote, rt.cursor + rt.R)
+            else:
+                rt.outcome = rt.ctrl.round(decision, can_install)
             stall += time.monotonic() - t0
         committed = rt.intra.broadcast(self.rank, rt.outcome)
 
@@ -697,8 +544,8 @@ class _RankWorker:
             rt.intra.barrier(self.rank)
             if self.rank == 0:
                 rt.record_hash(target)
-            # The lowest healthy replica (this step's chair) writes the
-            # checkpoint, so an interval is not lost while any replica is down.
+            # The lowest healthy replica writes the checkpoint, so an
+            # interval is not lost while any replica is down.
             if (role == "healthy" and rt.rid == min(decision.healthy)
                     and target % rt.cfg.checkpoint_interval == 0):
                 checkpoint.write_shard(rt.ckpt_dir, target, self.rank,
@@ -728,6 +575,7 @@ class _RankWorker:
                     join_wait_s=rt.cfg.timeouts.join_wait_s,
                     connect_deadline_s=rt.cfg.timeouts.connect_s * 4)
                 rt.mortality.register_closer(rt.client.close)
+                rt.ctrl = ControlPlane(rt.client, rt.cfg.timeouts.two_pc_s)
             rt.intra.barrier(self.rank)  # all ranks up before reporting
             while self.iterate():
                 pass
@@ -758,7 +606,7 @@ class ReplicaRuntime:
     """Owns the shared state and threads of one replica process."""
 
     def __init__(self, cfg: ScenarioConfig, replica_id: int, incarnation: int,
-                 run_dir: str, book: AddressBook, coord_addr: transport.PeerAddress,
+                 run_dir: str, book: FilePortBook, coord_addr: transport.PeerAddress,
                  listener: transport.Listener | None = None,
                  initial_cursor: int = 0,
                  restore: tuple[str, int] | None = None,
@@ -816,12 +664,10 @@ class ReplicaRuntime:
         # shard of it after every update.
         self.params64 = self.params.astype(np.float64)
 
-        ledger_path = os.path.join(run_dir, "ledger.txt")
         self.cursor = initial_cursor
-        for step_, rid_, cursor_ in checkpoint.parse_ledger(ledger_path):
+        for step_, rid_, cursor_ in checkpoint.parse_ledger(os.path.join(run_dir, "ledger.txt")):
             if rid_ == self.rid:
                 self.cursor = cursor_
-        self.ledger = checkpoint.LoaderLedger(ledger_path)
 
         self.progress = [time.monotonic()] * self.R
         self.decision: Decision | None = None
@@ -830,9 +676,7 @@ class ReplicaRuntime:
         self.retry_count = 0
         self.completed = False
         self.client: QuorumClient | None = None
-        self.ctrl = ControlPlane(self.rid, incarnation, self.router, book,
-                                 timeout_s=cfg.timeouts.two_pc_s)
-        self.mortality.register_closer(self.ctrl.close)
+        self.ctrl: ControlPlane | None = None
         self.workers = [_RankWorker(self, r) for r in range(self.R)]
         for w in self.workers:
             w.store.capture(self.step, w.params_shard, w.momentum_shard)
@@ -887,8 +731,6 @@ class ReplicaRuntime:
         self.router.stop()
         if self.client is not None:
             self.client.close()
-        self.ctrl.close()
-        self.ledger.close()
         self._metrics_fh.close()
         self._hashes_fh.close()
         if self.mortality.code is not None:

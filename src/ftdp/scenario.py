@@ -115,34 +115,6 @@ class ScenarioConfig:
         return [f for f in self.failures
                 if replica_id in f.targets(self.topology.num_replicas)]
 
-    def to_json(self) -> str:
-        doc = {
-            "name": self.name,
-            "topology": {
-                "num_replicas": self.topology.num_replicas,
-                "ranks_per_replica": self.topology.ranks_per_replica,
-                "model_dims": list(self.topology.model_dims),
-                "micro_batch": self.topology.micro_batch,
-            },
-            "failures": [
-                {k: v for k, v in {
-                    "kind": f.kind, "at_step": f.at_step,
-                    "duration_steps": f.duration_steps,
-                    "concurrent_replicas": f.concurrent_replicas,
-                    "replicas": list(f.replicas) if f.replicas is not None else None,
-                    "rank": f.rank,
-                }.items() if v is not None}
-                for f in self.failures
-            ],
-            "lr_intervention": self.lr_intervention,
-            "seeds": {"model": self.model_seed, "data": self.data_seed},
-            "timeouts": vars(self.timeouts),
-            "checkpoint_interval": self.checkpoint_interval,
-            "total_steps": self.total_steps,
-            "tuning": vars(self.tuning),
-        }
-        return json.dumps(doc, indent=2)
-
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:

@@ -8,7 +8,7 @@ thread may send on it while another reads from it; concurrent use of
 *different* connections from different threads is fine.
 
 Fault rules black-hole inter-replica data links (ring chunks and state
-fetches). Control traffic (quorum reports, intra-replica frames)
+fetches). Control traffic (quorum reports and votes, intra-replica frames)
 is exempt: the coordinator link is assumed reliable and intra-replica links
 model a local interconnect, not the network. Rule windows are keyed to the
 logical clock observed from quorum decisions, so runs stay reproducible.
@@ -537,9 +537,8 @@ class ConnectionRouter(SelectorService):
     listener. stop() also closes every connection not yet claimed.
 
     The loop accepts and reads each hello without blocking (read_hello),
-    closing a dialer with no whole hello in by DEFAULT_TIMEOUT_S. Ring and
-    ctrl links are parked per purpose until take() claims one, which
-    transfers ownership. Given stores, the replica's SnapshotStore of each
+    closing a dialer with no whole hello in by DEFAULT_TIMEOUT_S. Ring
+    links are parked until take() claims one, which transfers ownership. Given stores, the replica's SnapshotStore of each
     rank, the loop serves fetches itself: it reads the request, then writes
     the hello rank's shard as the socket drains, each under a fresh
     DEFAULT_TIMEOUT_S deadline. Without stores it parks fetch hellos too. Any other hello, a
@@ -550,7 +549,7 @@ class ConnectionRouter(SelectorService):
     def __init__(self, listener: Listener, stores: list | None = None):
         super().__init__(listener, "io")
         self.stores = stores
-        self._parked = {wire.HELLO_RING, wire.HELLO_CTRL}
+        self._parked = {wire.HELLO_RING}
         if stores is None:
             self._parked.add(wire.HELLO_FETCH)
         self._buckets: dict[int, list[tuple[Hello, Connection]]] = {}

@@ -23,8 +23,7 @@ CHUNK_DATA = 0x01
 CHUNK_ACK = 0x02
 QUORUM_REPORT = 0x10
 QUORUM_DECISION = 0x11
-PREPARE = 0x20
-PREPARED = 0x21
+QUORUM_VOTE = 0x12
 COMMIT = 0x22
 RETRY = 0x23
 FETCH_STATE_REQ = 0x30
@@ -37,8 +36,7 @@ KNOWN_TAGS = frozenset(
         CHUNK_ACK,
         QUORUM_REPORT,
         QUORUM_DECISION,
-        PREPARE,
-        PREPARED,
+        QUORUM_VOTE,
         COMMIT,
         RETRY,
         FETCH_STATE_REQ,
@@ -52,8 +50,7 @@ TAG_NAMES = {
     CHUNK_ACK: "CHUNK_ACK",
     QUORUM_REPORT: "QUORUM_REPORT",
     QUORUM_DECISION: "QUORUM_DECISION",
-    PREPARE: "PREPARE",
-    PREPARED: "PREPARED",
+    QUORUM_VOTE: "QUORUM_VOTE",
     COMMIT: "COMMIT",
     RETRY: "RETRY",
     FETCH_STATE_REQ: "FETCH_STATE_REQ",
@@ -69,8 +66,8 @@ HEADER_LEN = _HEADER.size  # 17
 # cannot tell how large the next frame may be (control traffic). Data-link
 # readers pass tighter bounds from their own state: ring chunk data at most
 # chunk_bytes, a fetch response the size of the shard asked for. A reader of
-# a fixed-size frame (a CHUNK_ACK, a hello, a QUORUM_REPORT, a
-# FETCH_STATE_REQ) passes its exact length, one of the *_LEN constants
+# a fixed-size frame (a CHUNK_ACK, a hello, a QUORUM_REPORT or QUORUM_VOTE,
+# a FETCH_STATE_REQ) passes its exact length, one of the *_LEN constants
 # below. The ceiling itself must admit the naive ring baseline, which ships
 # whole segments in one frame (up to 512 MiB at the largest benchmark size).
 MAX_FRAME_LEN = (1 << 30) + 1024
@@ -204,17 +201,33 @@ def decode_decision(payload: bytes) -> tuple[int, int, int, list[int], dict[int,
         raise Fatal(PROTOCOL_VIOLATION, f"bad QUORUM_DECISION payload: {exc}") from exc
 
 
-_TPC = struct.Struct("<QIB")  # step, incarnation, vote
+_VOTE = struct.Struct("<QQIIBQ")  # epoch, target, replica_id, incarnation, ok, cursor
+VOTE_LEN = HEADER_LEN + _VOTE.size  # a QUORUM_VOTE frame after its length prefix
 
 
-def encode_2pc(step: int, incarnation: int, vote: int) -> bytes:
-    return _TPC.pack(step, incarnation, vote)
+def encode_vote(epoch: int, target: int, replica_id: int, incarnation: int,
+                ok: bool, cursor: int) -> bytes:
+    return _VOTE.pack(epoch, target, replica_id, incarnation, ok, cursor)
 
 
-def decode_2pc(payload: bytes) -> tuple[int, int, int]:
-    if len(payload) != _TPC.size:
-        raise Fatal(PROTOCOL_VIOLATION, "bad 2PC payload")
-    return _TPC.unpack(payload)
+def decode_vote(payload: bytes) -> tuple[int, int, int, int, bool, int]:
+    if len(payload) != _VOTE.size:
+        raise Fatal(PROTOCOL_VIOLATION, "bad QUORUM_VOTE payload")
+    epoch, target, replica_id, incarnation, ok, cursor = _VOTE.unpack(payload)
+    return epoch, target, replica_id, incarnation, bool(ok), cursor
+
+
+_OUTCOME = struct.Struct("<QQ")  # epoch, target: a COMMIT or RETRY payload
+
+
+def encode_outcome(epoch: int, target: int) -> bytes:
+    return _OUTCOME.pack(epoch, target)
+
+
+def decode_outcome(payload: bytes) -> tuple[int, int]:
+    if len(payload) != _OUTCOME.size:
+        raise Fatal(PROTOCOL_VIOLATION, "bad COMMIT/RETRY payload")
+    return _OUTCOME.unpack(payload)
 
 
 _FETCH_REQ = struct.Struct("<QI")  # step, rank
@@ -239,10 +252,6 @@ def encode_fetch_resp_head(step: int, rank: int, data_len: int) -> bytes:
     return _FETCH_RESP.pack(step, rank, data_len)
 
 
-def encode_fetch_resp(step: int, rank: int, data: bytes) -> bytes:
-    return encode_fetch_resp_head(step, rank, len(data)) + data
-
-
 def fetch_resp_frame_len(data_len: int) -> int:
     """Length after its prefix of a FETCH_STATE_RESP frame carrying data_len
     bytes of data."""
@@ -262,7 +271,6 @@ def decode_fetch_resp(payload: bytes) -> tuple[int, int, memoryview]:
 # Connection hello, carried in a HEARTBEAT payload. Purposes route inbound
 # connections on a process's single listener.
 HELLO_RING = 1
-HELLO_CTRL = 3
 HELLO_FETCH = 4
 HELLO_QUORUM = 5
 

@@ -17,13 +17,43 @@ from ftdp.replica import (
     EXIT_INVARIANT,
     EXIT_KILLED,
     EXIT_OK,
+    FilePortBook,
     ReplicaRuntime,
-    StaticBook,
     _Halt,
 )
 from ftdp.scenario import Failure, ScenarioConfig, Timeouts, Topology
 
 COORD_ID = 1_000_000
+
+
+def to_json(cfg: ScenarioConfig) -> str:
+    """The scenario document for cfg, as load_scenario reads it."""
+    doc = {
+        "name": cfg.name,
+        "topology": {
+            "num_replicas": cfg.topology.num_replicas,
+            "ranks_per_replica": cfg.topology.ranks_per_replica,
+            "model_dims": list(cfg.topology.model_dims),
+            "micro_batch": cfg.topology.micro_batch,
+        },
+        "failures": [
+            {k: v for k, v in {
+                "kind": f.kind, "at_step": f.at_step,
+                "duration_steps": f.duration_steps,
+                "concurrent_replicas": f.concurrent_replicas,
+                "replicas": list(f.replicas) if f.replicas is not None else None,
+                "rank": f.rank,
+            }.items() if v is not None}
+            for f in cfg.failures
+        ],
+        "lr_intervention": cfg.lr_intervention,
+        "seeds": {"model": cfg.model_seed, "data": cfg.data_seed},
+        "timeouts": vars(cfg.timeouts),
+        "checkpoint_interval": cfg.checkpoint_interval,
+        "total_steps": cfg.total_steps,
+        "tuning": vars(cfg.tuning),
+    }
+    return json.dumps(doc, indent=2)
 
 
 def quick_scenario(num_replicas=2, ranks=1, total_steps=5, failures=(),
@@ -70,13 +100,14 @@ class Cluster:
         self.run_dir = run_dir
         os.makedirs(run_dir, exist_ok=True)
         self.restore = restore
-        self.book = StaticBook()
+        self.book = FilePortBook(os.path.join(run_dir, "ports.txt"))
         self._listener = transport.Listener()
         self.coordinator = QuorumCoordinator(
-            self._listener,
+            self._listener, os.path.join(run_dir, "ledger.txt"),
             round_deadline_s=cfg.timeouts.quorum_round_s,
             join_wait_s=cfg.timeouts.join_wait_s,
             expected_replicas=cfg.topology.num_replicas,
+            vote_deadline_s=cfg.timeouts.two_pc_s,
         ).start()
         self.coord_addr = transport.PeerAddress(COORD_ID, 0, "127.0.0.1",
                                                 self._listener.port)

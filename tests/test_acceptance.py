@@ -27,7 +27,7 @@ from ftdp.model import forward_backward, init_model, next_batch
 from ftdp.quorum import emulate_quorum
 from ftdp.scenario import Failure
 
-from helpers import Cluster, kill_failure, quick_scenario, read_hashes, read_metrics
+from helpers import Cluster, kill_failure, quick_scenario, read_hashes, read_metrics, to_json
 from test_ftar import oracle_reduce
 
 MIB = 1024 * 1024
@@ -151,7 +151,7 @@ def survival_run(tmp_path_factory):
     cfg.timeouts.join_wait_s = 4.0
     cfg.timeouts.watchdog_s = 30.0
     path = root / "survival.json"
-    path.write_text(cfg.to_json())
+    path.write_text(to_json(cfg))
     report = run_scenario(str(path), str(root / "run"), timeout_s=150)
     rows = load_metrics_csv(str(root / "run" / "metrics.csv"))
     return root / "run", report, rows, cfg
@@ -360,7 +360,7 @@ def test_criterion_08_persistence_roundtrip(tmp_path):
                              failures=failures, allocation_delay_s=0.5)
         cfg.timeouts.chunk_s = 1.0
         cfg.timeouts.watchdog_s = 20.0
-        return cfg.to_json()
+        return to_json(cfg)
 
     clean = tmp_path / "clean.json"
     clean.write_text(scenario_json())

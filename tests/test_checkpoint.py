@@ -297,9 +297,8 @@ def test_find_latest_skips_corrupt_manifest(tmp_path):
 def test_ledger_append_parse_roundtrip(tmp_path):
     path = str(tmp_path / "loader_state.txt")
     led = LoaderLedger(path)
-    led.append(1, 0, 2)
-    led.append(1, 1, 2)
-    led.append(2, 0, 4)
+    led.append(1, {0: 2, 1: 2})
+    led.append(2, {0: 4})
     led.close()
     assert parse_ledger(path) == [(1, 0, 2), (1, 1, 2), (2, 0, 4)]
 
@@ -354,9 +353,10 @@ def test_restore_cursors_cut_at_checkpoint_step(tmp_path):
     path = str(tmp_path / "loader_state.txt")
     led = LoaderLedger(path)
     for step in range(1, 8):
-        led.append(step, 0, step * 2)
+        cursors = {0: step * 2}
         if step != 4:
-            led.append(step, 1, len([s for s in range(1, step + 1) if s != 4]) * 2)
+            cursors[1] = len([s for s in range(1, step + 1) if s != 4]) * 2
+        led.append(step, cursors)
     led.close()
     cur = restore_cursors(path, ckpt_step=5, num_replicas=3)
     assert cur[0] == 10

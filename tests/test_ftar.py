@@ -7,8 +7,8 @@ every member must produce exactly those bits. The oracle recomputes the
 partition/segment geometry from the config on its own; geometry-specific
 guarantees (size cap, balance) are pinned separately in the plan tests.
 
-The behaviour tests' arrays are small, so their partitions take the gather
-path; test_ftar_ring.py runs them again with it switched off, and the tests
+The behaviour tests' arrays are small, so their partitions mostly take the
+gather path; test_ftar_ring.py runs them again with it switched off, and the tests
 at the end of this file pin both paths side by side.
 """
 
@@ -54,7 +54,8 @@ MIB = 1024 * 1024
 def test_partition_plan_large_message_splits_at_cap():
     cfg = ftar.PipelineConfig(chunk_bytes=8 * MIB, max_in_flight=4)
     plan = ftar.build_partition_plan(256 * MIB, cfg, 4)
-    assert plan.partition_bytes() == [(0, 128 * MIB), (128 * MIB, 128 * MIB)]
+    assert [(off * 4, ln * 4) for off, ln in plan.partitions] == [
+        (0, 128 * MIB), (128 * MIB, 128 * MIB)]
 
 
 def test_partition_plan_small_message_single_partition():
@@ -790,6 +791,36 @@ def test_hops_per_small_all_reduce(path, n, chunk_bytes, monkeypatch):
         run_case(ring, list(range(n)),
                  [rng.standard_normal(12).astype(np.float32) for _ in range(n)], 1, cfg)
         expect = HOP_CHUNKS[chunk_bytes][path][n]
+        assert recvs == {rid: expect for rid in range(n)}
+    finally:
+        ring.close()
+
+
+@pytest.mark.parametrize("floats, expect", [(12, 18), (14, 12)], ids=["gather", "ring"])
+def test_gather_only_while_a_block_needs_few_chunk_frames(floats, expect, monkeypatch):
+    """n = 4 with 2-float chunks: a 12-float block is 6 chunks, within two
+    2-chunk segments plus HOP_FRAMES, so it takes the gather's 3 hops of 6
+    chunks; a 14-float block is 7 chunks, so it takes the ring's 6 hops of
+    2 chunks, though both fit GATHER_MAX_BYTES."""
+    n = 4
+    cfg = ftar.PipelineConfig(chunk_bytes=8, max_in_flight=6, per_chunk_timeout_s=5.0)
+    assert ftar.HOP_FRAMES == 2 and floats * 4 <= ftar.GATHER_MAX_BYTES
+    ring = Ring(n)
+    try:
+        ring.reconfig()
+        assert len(ftar.build_partition_plan(floats * 4, cfg, n).partitions) == 1
+        member_of = {ring.groups[rid].left: rid for rid in range(n)}
+        recvs = {rid: 0 for rid in range(n)}
+        real_recv = ftar._Pipe.recv
+
+        def counting_recv(self, *args):
+            recvs[member_of[self.left]] += 1
+            real_recv(self, *args)
+
+        monkeypatch.setattr(ftar._Pipe, "recv", counting_recv)
+        rng = np.random.default_rng(floats)
+        run_case(ring, list(range(n)),
+                 [rng.standard_normal(floats).astype(np.float32) for _ in range(n)], 1, cfg)
         assert recvs == {rid: expect for rid in range(n)}
     finally:
         ring.close()

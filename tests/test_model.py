@@ -25,7 +25,7 @@ def test_init_deterministic_and_frozen():
     a = model.init_model(DIMS, 1234)
     b = model.init_model(DIMS, 1234)
     assert np.array_equal(a.params, b.params)
-    opt = model.init_optimizer(DIMS)
+    opt = model.OptimizerState(np.zeros(model.param_count(DIMS), dtype=np.float32))
     # frozen digest guards against accidental generator changes
     assert model.hash_state(a.params, opt.momentum, 0) == (
         "01098d4188b19ee91ae8d628a7cf02588f2168038e1a465ce06c6300a187cb05")
@@ -37,7 +37,7 @@ def test_batch_determined_by_seed_replica_cursor():
     b = model.next_batch(77, 3, 12, 6, DIMS)
     assert np.array_equal(a.inputs, b.inputs)
     assert np.array_equal(a.targets, b.targets)
-    assert a.batch_id == (3, 12)
+    assert (a.replica_id, a.cursor) == (3, 12)
     # different replica or cursor gives a different stream
     assert not np.array_equal(a.inputs, model.next_batch(77, 2, 12, 6, DIMS).inputs)
     assert not np.array_equal(a.inputs, model.next_batch(77, 3, 13, 6, DIMS).inputs)
@@ -251,7 +251,7 @@ def test_training_reduces_loss():
     # single replica, default-ish settings: loss after 200 steps should be
     # well under half of its step-10 value
     st = model.init_model(DIMS, 5)
-    opt = model.init_optimizer(DIMS)
+    opt = model.OptimizerState(np.zeros(model.param_count(DIMS), dtype=np.float32))
     pol = model.LrPolicy()
     losses = []
     for step in range(1, 201):
@@ -264,7 +264,7 @@ def test_training_reduces_loss():
 
 def test_hash_state_sensitivity():
     st = model.init_model(DIMS, 1)
-    opt = model.init_optimizer(DIMS)
+    opt = model.OptimizerState(np.zeros(model.param_count(DIMS), dtype=np.float32))
     h0 = model.hash_state(st.params, opt.momentum, 3)
     assert h0 == model.hash_state(st.params.copy(), opt.momentum.copy(), 3)
     assert h0 != model.hash_state(st.params, opt.momentum, 4)

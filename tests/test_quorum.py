@@ -1,5 +1,6 @@
 """Decision engine and coordinator service tests."""
 
+import os
 import socket
 import struct
 import threading
@@ -7,8 +8,9 @@ import time
 
 import pytest
 
-from ftdp import errors, quorum, transport, wire
+from ftdp import checkpoint, errors, quorum, transport, wire
 from ftdp.quorum import Decision, QuorumClient, QuorumCoordinator, QuorumEngine, Report
+from ftdp.replica import ControlPlane
 
 
 def reports(**kw):
@@ -93,7 +95,7 @@ def test_admission_gate_parks_then_admits():
     assert eng.pending_joiners(reports(r0=70, r1=70)) == {2}
     d = eng.decide(reports(r0=70, r1=70, r2=1))
     assert d.behind == {2: 1} and d.healthy == (0, 1)
-    assert eng.admission_gate(2) is None  # cleared once included
+    assert eng.pending_joiners(reports(r0=70, r1=70)) == set()  # cleared once included
 
 
 def test_gated_report_alone_cannot_regress_target():
@@ -136,9 +138,9 @@ def test_decision_wire_roundtrip():
 
 # ------------------------------------------------------------- coordinator
 
-def start_coordinator(**kw):
+def start_coordinator(ledger_path=os.devnull, **kw):
     listener = transport.Listener()
-    coord = QuorumCoordinator(listener, **kw).start()
+    coord = QuorumCoordinator(listener, ledger_path, **kw).start()
     addr = transport.PeerAddress(0, 0, "127.0.0.1", listener.port)
     return coord, addr
 
@@ -329,11 +331,12 @@ def assert_reset_at_once(conn, within_s=2.0):
     assert time.monotonic() - t0 < within_s
 
 
-@pytest.mark.parametrize("purpose", [wire.HELLO_RING, wire.HELLO_CTRL, wire.HELLO_FETCH],
+@pytest.mark.parametrize("purpose", [wire.HELLO_RING, 3, wire.HELLO_FETCH],
                          ids=["ring", "ctrl", "fetch"])
 def test_coordinator_closes_other_hellos_at_once(purpose):
-    """A dial for a ring, ctrl or fetch link is closed as soon as its hello
-    is read, not held until the coordinator stops."""
+    """A dial for a ring or fetch link, or of a purpose no one serves (3,
+    once the commit star's), is closed as soon as its hello is read, not
+    held until the coordinator stops."""
     coord, addr = start_coordinator(round_deadline_s=0.3, join_wait_s=1.0)
     dials = [transport.connect(addr, purpose, (1, 0, 0, i)) for i in range(5)]
     try:
@@ -348,7 +351,8 @@ def test_coordinator_closes_other_hellos_at_once(purpose):
 @pytest.mark.parametrize("msg_type, payload", [
     (wire.QUORUM_REPORT, wire.encode_report(0, 1, 1, 1)),  # replica 1's, on 0's link
     (wire.HEARTBEAT, b""),
-], ids=["report_of_another_replica", "not_a_report"])
+    (wire.QUORUM_VOTE, wire.encode_vote(1, 1, 1, 1, True, 2)),  # replica 1's, on 0's link
+], ids=["report_of_another_replica", "not_a_report", "vote_of_another_replica"])
 def test_coordinator_drops_a_link_that_misbehaves(msg_type, payload):
     coord, addr = start_coordinator(round_deadline_s=0.3, join_wait_s=1.0)
     conn = transport.connect(addr, wire.HELLO_QUORUM, (0, 0, 1, 0))
@@ -384,6 +388,151 @@ def test_client_gives_up_on_silent_coordinator():
         client.close()
     finally:
         listener.close()
+
+
+# ------------------------------------------------------------- commit vote
+
+
+class Voters:
+    """n leaders on a started coordinator that keeps a ledger, each holding
+    the first round's decision."""
+
+    def __init__(self, tmp_path, n, vote_deadline_s, steps):
+        self.ledger = str(tmp_path / "ledger.txt")
+        self.clients = {}
+        self.coord, addr = start_coordinator(
+            round_deadline_s=0.3, join_wait_s=2.0, expected_replicas=n,
+            vote_deadline_s=vote_deadline_s, ledger_path=self.ledger)
+        self.clients = {rid: QuorumClient(addr, rid, incarnation=1,
+                                          round_deadline_s=0.3, join_wait_s=2.0)
+                        for rid in range(n)}
+        self.decisions = exchange_all(self.clients, steps or {rid: 1 for rid in range(n)})
+
+    def vote(self, ballots):
+        """Each replica in ballots votes (ok, cursor) on its own thread.
+        Returns per replica the outcome (or the error), the seconds it took,
+        and the ledger as it stood once the outcome was read."""
+        outcomes, seconds, ledgers = {}, {}, {}
+
+        def go(rid, ok, cursor):
+            t0 = time.monotonic()
+            try:
+                outcomes[rid] = self.clients[rid].vote(self.decisions[rid], ok, cursor, 5.0)
+            except errors.FtdpError as exc:
+                outcomes[rid] = exc
+            seconds[rid] = time.monotonic() - t0
+            ledgers[rid] = checkpoint.parse_ledger(self.ledger)
+
+        threads = [threading.Thread(target=go, args=(rid, *ballot))
+                   for rid, ballot in ballots.items()]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=15.0)
+        assert not any(t.is_alive() for t in threads), "vote hung"
+        return outcomes, seconds, ledgers
+
+    def close(self):
+        for c in self.clients.values():
+            c.close()
+        self.coord.stop()
+
+
+@pytest.fixture
+def voters(tmp_path):
+    made = []
+
+    def make(n=3, vote_deadline_s=2.0, steps=None):
+        made.append(Voters(tmp_path, n, vote_deadline_s, steps))
+        return made[-1]
+
+    yield make
+    for v in made:
+        v.close()
+
+
+def test_vote_unanimous_commits_with_every_line_in_the_ledger_first(voters):
+    v = voters()
+    outcomes, _s, ledgers = v.vote({0: (True, 2), 1: (True, 4), 2: (True, 6)})
+    assert outcomes == {0: True, 1: True, 2: True}
+    # write-ahead: the ledger holds every healthy member's line before any
+    # member reads the outcome
+    assert ledgers == {rid: [(1, 0, 2), (1, 1, 4), (1, 2, 6)] for rid in range(3)}
+
+
+def test_vote_single_no_forces_retry(voters):
+    v = voters()
+    outcomes, _s, _l = v.vote({0: (True, 2), 1: (False, 2), 2: (True, 2)})
+    assert outcomes == {0: False, 1: False, 2: False}
+    assert checkpoint.parse_ledger(v.ledger) == []
+
+
+def test_vote_no_retries_without_waiting(voters):
+    v = voters(vote_deadline_s=2.0)
+    outcomes, seconds, _l = v.vote({0: (False, 2), 1: (True, 2)})  # 2 stays silent
+    assert outcomes == {0: False, 1: False}
+    assert max(seconds.values()) < 0.5
+
+
+def test_vote_healthy_member_that_never_votes_costs_a_retry(voters):
+    v = voters(vote_deadline_s=0.5)
+    outcomes, seconds, _l = v.vote({0: (True, 2), 1: (True, 2)})  # 2 stays silent
+    assert outcomes == {0: False, 1: False}
+    assert 0.4 < max(seconds.values()) < 2.0
+    assert checkpoint.parse_ledger(v.ledger) == []
+
+
+def test_vote_behind_member_gets_the_outcome_and_never_holds_it(voters):
+    v = voters(steps={0: 1, 1: 1, 2: 0})
+    assert v.decisions[0].healthy == (0, 1) and v.decisions[0].behind == {2: 0}
+    outcomes, seconds, _l = v.vote({0: (True, 2), 1: (True, 4)})
+    assert outcomes == {0: True, 1: True}
+    assert max(seconds.values()) < 0.5
+    # The lagging leader votes once the outcome is out, and still reads it.
+    assert v.vote({2: (False, 0)})[0] == {2: True}
+    assert checkpoint.parse_ledger(v.ledger) == [(1, 0, 2), (1, 1, 4)]
+
+
+def test_vote_solo_and_unassigned(voters):
+    v = voters(n=1)
+    plane = ControlPlane(v.clients[0], timeout_s=1.0)
+    solo = v.decisions[0]
+    assert solo.members == (0,)
+    assert plane.round(solo, True, 2)
+    assert checkpoint.parse_ledger(v.ledger) == [(1, 0, 2)]
+    retry = v.clients[0].exchange(2)
+    t0 = time.monotonic()
+    assert not plane.round(retry, False, 4)
+    assert not plane.round(Decision(retry.epoch, 2, 9, (1, 2), {}), True, 4)
+    assert not plane.round(Decision(retry.epoch, 2, 9, (), {0: 1}), True, 4)
+    assert time.monotonic() - t0 < 0.5  # none of the three waits on the coordinator
+    assert plane.round(v.clients[0].exchange(2), True, 4)
+    assert checkpoint.parse_ledger(v.ledger) == [(1, 0, 2), (2, 0, 4)]
+
+
+def test_vote_healthy_member_whose_link_drops_retries_at_once(voters):
+    v = voters(vote_deadline_s=2.0)
+    drop = threading.Timer(0.2, v.clients[2].close)
+    drop.start()
+    outcomes, seconds, _l = v.vote({0: (True, 2), 1: (True, 2)})
+    drop.join()
+    assert outcomes == {0: False, 1: False}
+    assert 0.15 < max(seconds.values()) < 1.0
+
+
+def test_vote_for_a_closed_round_is_ignored(voters):
+    v = voters(vote_deadline_s=0.5)
+    assert v.vote({0: (False, 2)})[0] == {0: False}
+    stale = v.decisions[2]
+    # 1 and 2 skip the RETRY still unread on their links.
+    v.decisions = exchange_all(v.clients, {rid: 1 for rid in range(3)})
+    assert v.decisions[0].epoch > stale.epoch
+    # 2 votes yes on the closed round only; had that counted, this commits.
+    v.clients[2].conn.send_frame(wire.QUORUM_VOTE, 1, stale.epoch,
+                                 wire.encode_vote(stale.epoch, 1, 2, 1, True, 2))
+    outcomes, _s, _l = v.vote({0: (True, 2), 1: (True, 2)})
+    assert outcomes == {0: False, 1: False}
+    assert checkpoint.parse_ledger(v.ledger) == []
 
 
 # --------------------------------------------------------------- emulation

@@ -1,7 +1,8 @@
-"""Replica engine tests: rank collectives, the commit star, peer discovery,
+"""Replica engine tests: rank collectives, peer discovery,
 death machinery, and full-cluster trajectories checked bitwise against a
 serial reference."""
 
+import collections
 import os
 import sys
 import threading
@@ -11,15 +12,12 @@ import numpy as np
 import pytest
 
 from ftdp import checkpoint, model, transport, wire
-from ftdp.errors import PEER_DOWN, Recoverable
-from ftdp.quorum import Decision
+from ftdp.errors import Recoverable
 from ftdp.replica import (
     EXIT_FATAL,
-    ControlPlane,
     FilePortBook,
     IntraGroup,
     Mortality,
-    StaticBook,
     _Halt,
     _RankWorker,
     watch_ranks,
@@ -262,17 +260,6 @@ def test_watchdog_quiet_while_marks_refresh():
 # ------------------------------------------------------------ address books
 
 
-def test_static_book_publish_and_overwrite():
-    book = StaticBook()
-    book.publish(3, 0, 1111)
-    book.publish(3, 1, 2222)
-    addr = book.lookup(3, 1)
-    assert (addr.replica_id, addr.rank_id, addr.port) == (3, 1, 2222)
-    with pytest.raises(Recoverable) as ei:
-        book.lookup(4, 0)
-    assert ei.value.reason == PEER_DOWN
-
-
 def test_file_port_book_newest_incarnation_wins(tmp_path):
     path = str(tmp_path / "ports.txt")
     book = FilePortBook(path)
@@ -287,134 +274,6 @@ def test_file_port_book_newest_incarnation_wins(tmp_path):
     assert book.lookup(1, 3).port == 6000
     with pytest.raises(Recoverable):
         book.lookup(2, 0)
-
-
-# ------------------------------------------------------------ ControlPlane
-
-
-class _Star:
-    """Three leader endpoints wired through real routers."""
-
-    def __init__(self, ids=(0, 1, 2), timeout_s=2.0):
-        self.book = StaticBook()
-        self.routers = {}
-        self.planes = {}
-        for rid in ids:
-            listener = transport.Listener()
-            self.book.publish(rid, 0, listener.port)
-            self.routers[rid] = transport.ConnectionRouter(listener).start()
-            self.planes[rid] = ControlPlane(rid, 0, self.routers[rid], self.book,
-                                            timeout_s=timeout_s)
-
-    def reconfig(self, decision, only=None):
-        rids = list(self.planes) if only is None else list(only)
-        run_ranks(len(rids), lambda i: self.planes[rids[i]].reconfig(decision))
-
-    def close(self):
-        for p in self.planes.values():
-            p.close()
-        for r in self.routers.values():
-            r.stop()
-
-
-def decision_of(healthy, behind=None, target=5, gen=1):
-    return Decision(1, target, gen, tuple(healthy), dict(behind or {}))
-
-
-def test_ctrl_unanimous_commit_fires_chair_first():
-    star = _Star()
-    try:
-        d = decision_of((0, 1, 2))
-        star.reconfig(d)
-        stamps = {}
-
-        def play(rid):
-            out = star.planes[rid].round(
-                d, True, on_commit=lambda: stamps.setdefault(rid, time.monotonic()))
-            return out
-
-        outs = run_ranks(3, lambda i: play(i))
-        assert outs == [True, True, True]
-        assert sorted(stamps) == [0, 1, 2]
-        # write-ahead: the chair records before the outcome reaches anyone
-        assert stamps[0] <= stamps[1] and stamps[0] <= stamps[2]
-    finally:
-        star.close()
-
-
-def test_ctrl_single_no_vote_forces_retry():
-    star = _Star()
-    try:
-        d = decision_of((0, 1, 2))
-        star.reconfig(d)
-        fired = []
-        outs = run_ranks(3, lambda rid: star.planes[rid].round(
-            d, rid != 1, on_commit=lambda: fired.append(rid)))
-        assert outs == [False, False, False]
-        assert fired == []
-    finally:
-        star.close()
-
-
-def test_ctrl_chair_no_vote_retries_without_waiting():
-    star = _Star(timeout_s=2.0)
-    try:
-        d = decision_of((0, 1, 2))
-        star.reconfig(d)
-        elapsed = [None] * 2
-
-        def play(rid):
-            t0 = time.monotonic()
-            out = star.planes[rid].round(d, rid != 0)  # the chair votes no
-            elapsed[rid] = time.monotonic() - t0
-            return out
-
-        outs = run_ranks(2, play)  # member 2 never calls round
-        assert outs == [False, False]
-        assert max(elapsed) < 0.5
-    finally:
-        star.close()
-
-
-def test_ctrl_member_that_never_dialed_costs_a_retry():
-    star = _Star(timeout_s=0.5)
-    try:
-        d = decision_of((0, 1, 2))
-        star.reconfig(d, only=(0, 1))  # 2 stays silent
-        outs = run_ranks(2, lambda rid: star.planes[rid].round(d, True))
-        assert outs == [False, False]
-    finally:
-        star.close()
-
-
-def test_ctrl_behind_member_receives_outcome_only():
-    star = _Star()
-    try:
-        d = decision_of((0, 1), behind={2: 3})
-        star.reconfig(d)
-        fired = []
-        outs = run_ranks(3, lambda rid: star.planes[rid].round(
-            d, rid != 2, on_commit=lambda: fired.append(rid)))
-        assert outs == [True, True, True]  # 2's vote is never solicited
-        assert sorted(fired) == [0, 1, 2]
-    finally:
-        star.close()
-
-
-def test_ctrl_solo_and_unassigned():
-    star = _Star(ids=(0,))
-    try:
-        solo = decision_of((0,))
-        star.planes[0].reconfig(solo)
-        fired = []
-        assert star.planes[0].round(solo, True, on_commit=lambda: fired.append(1))
-        assert fired == [1]
-        assert not star.planes[0].round(solo, False)
-        foreign = decision_of((1, 2))
-        star.planes[0].reconfig(foreign)
-        assert not star.planes[0].round(foreign, True)
-    finally:
-        star.close()
 
 
 # ------------------------------------------------------------ cluster runs
@@ -450,7 +309,8 @@ def test_cluster_matches_serial_reference(tmp_path):
     assert cluster.run(timeout_s=60) == {0: 0, 1: 0}
 
     state = model.init_model(cfg.topology.model_dims, cfg.model_seed)
-    opt = model.init_optimizer(cfg.topology.model_dims, cfg.tuning.momentum_beta)
+    opt = model.OptimizerState(np.zeros(model.param_count(cfg.topology.model_dims),
+                                        dtype=np.float32), cfg.tuning.momentum_beta)
     policy = cfg.lr_policy()
     want = {}
     cursor = 0
@@ -641,6 +501,40 @@ def test_intra_waits_per_rank_per_step(tmp_path, monkeypatch):
     assert waits("behind", False, installed=False) <= {3}
 
 
+def test_control_frames_and_dials_per_step(tmp_path, monkeypatch):
+    """The control traffic of a failure-free 4x1 run. Every committed step
+    costs 4 each of QUORUM_REPORT, QUORUM_DECISION, QUORUM_VOTE and COMMIT,
+    one per leader on its quorum link, and no RETRY; the run dials only its
+    4 quorum links and its 4 ring links. The last decision, past the end of
+    the run, has no vote, so its frames are left out."""
+    frames = collections.Counter()  # (tag, step) of every frame sent
+    dials = collections.Counter()  # purpose of every dial
+    real_send = transport.Connection.send_frame
+    real_connect = transport.connect
+
+    def counting_send(self, msg_type, step=0, *args, **kwargs):
+        frames[msg_type, step] += 1
+        return real_send(self, msg_type, step, *args, **kwargs)
+
+    def counting_connect(addr, purpose, *args, **kwargs):
+        dials[purpose] += 1
+        return real_connect(addr, purpose, *args, **kwargs)
+
+    monkeypatch.setattr(transport.Connection, "send_frame", counting_send)
+    monkeypatch.setattr(transport, "connect", counting_connect)
+    steps = 30
+    cfg = quick_scenario(num_replicas=4, ranks=1, total_steps=steps)
+    cfg.timeouts.quorum_round_s = 5.0  # a slow leader must not split a round
+    cluster = Cluster(cfg, str(tmp_path))
+    assert cluster.run(timeout_s=60) == {0: 0, 1: 0, 2: 0, 3: 0}
+    control = (wire.QUORUM_REPORT, wire.QUORUM_DECISION, wire.QUORUM_VOTE, wire.COMMIT)
+    for step in range(1, steps + 1):
+        assert {tag: frames[tag, step] for tag in control} == dict.fromkeys(control, 4), step
+    assert {tag for tag, step in frames if step <= steps} == {
+        *control, wire.HEARTBEAT, wire.CHUNK_ACK}
+    assert dials == {wire.HELLO_QUORUM: 4, wire.HELLO_RING: 4}
+
+
 def test_pull_that_reaches_its_donor_late_installs_the_donors_new_state(tmp_path,
                                                                       monkeypatch):
     """Replica 1 of 2x2 is killed at step 3 and lags on step 6, pulling step
@@ -687,6 +581,7 @@ def test_kill_run_is_bitwise_deterministic(tmp_path):
                          failures=[kill_failure(3, 2, (2,))])
     histories = []
     ledgers = []
+    written = []
     for i in range(2):
         run_dir = str(tmp_path / f"run{i}")
         cluster = Cluster(cfg, run_dir)
@@ -695,13 +590,16 @@ def test_kill_run_is_bitwise_deterministic(tmp_path):
         cluster.validate_ledger()
         assert_replicas_agree(run_dir)
         histories.append(digest_history(run_dir))
-        # Replicas append to one file, so its line order is a race; sorted
-        # by (step, replica) the ledgers must match.
+        # Sorted by (step, replica) the ledgers must match; and since the
+        # coordinator is the one writer, a step at a time, so must the
+        # lines as written.
         ledgers.append(sorted(cluster.ledger_entries()))
+        written.append(cluster.ledger_entries())
     assert set(histories[0]) == set(histories[1])
     for step in histories[0]:
         assert histories[0][step] == histories[1][step], f"diverged at step {step}"
     assert ledgers[0] == ledgers[1]
+    assert written[0] == written[1]
 
 
 def test_hung_rank_sheds_whole_replica(tmp_path):

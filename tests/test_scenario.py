@@ -7,6 +7,7 @@ import pytest
 
 from ftdp.errors import ConfigError
 from ftdp.scenario import load_scenario, parse_scenario
+from helpers import to_json
 
 
 def base_doc(**over):
@@ -46,8 +47,8 @@ def test_roundtrip_through_json():
         checkpoint_interval=25,
     )
     cfg = parse_scenario(doc)
-    again = parse_scenario(json.loads(cfg.to_json()))
-    assert again.to_json() == cfg.to_json()
+    again = parse_scenario(json.loads(to_json(cfg)))
+    assert to_json(again) == to_json(cfg)
     assert again.timeouts.watchdog_s == 9.5
     assert again.tuning.initial_lr == 0.01
     assert again.failures[0].replicas == (3, 1)

@@ -64,7 +64,7 @@ def forward_backward_call():
 
 def optimizer_step_call():
     st = model.init_model(DIMS, 3)
-    opt = model.init_optimizer(DIMS)
+    opt = model.OptimizerState(np.zeros(model.param_count(DIMS), dtype=np.float32))
     grad = np.full(N_PARAMS, 0.5, dtype=np.float32)
     return lambda: model.optimizer_step(st, opt, grad, 0.01, scratch=grad)
 

@@ -10,7 +10,7 @@ import time
 
 from ftdp import harness
 
-from helpers import Cluster, kill_failure, quick_scenario, read_metrics
+from helpers import Cluster, kill_failure, quick_scenario, read_metrics, to_json
 
 
 def test_failure_free_workers_peak_at_four_threads(tmp_path, monkeypatch):
@@ -41,7 +41,7 @@ def test_failure_free_workers_peak_at_four_threads(tmp_path, monkeypatch):
     cfg = quick_scenario(num_replicas=2, ranks=2, total_steps=60, micro_batch=8,
                          dims=(4, 8, 3))
     path = tmp_path / "threads.json"
-    path.write_text(cfg.to_json())
+    path.write_text(to_json(cfg))
     sampler = threading.Thread(target=sample)
     sampler.start()
     try:

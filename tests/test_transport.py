@@ -141,7 +141,7 @@ def test_connect_retries_until_listener_appears():
     def dial():
         addr = transport.PeerAddress(0, 0, "127.0.0.1", port)
         try:
-            result["conn"] = transport.connect(addr, wire.HELLO_CTRL, (2, 1, 0, 0), deadline_s=3.0)
+            result["conn"] = transport.connect(addr, wire.HELLO_RING, (2, 1, 0, 0), deadline_s=3.0)
         except Exception as exc:  # pragma: no cover
             result["err"] = exc
 
@@ -150,7 +150,7 @@ def test_connect_retries_until_listener_appears():
     time.sleep(0.3)
     listener = transport.Listener(port=port)
     router = transport.ConnectionRouter(listener).start()
-    hello, conn = router.take(wire.HELLO_CTRL, timeout=3.0)
+    hello, conn = router.take(wire.HELLO_RING, timeout=3.0)
     th.join(timeout=3.0)
     assert "conn" in result
     assert hello.replica_id == 2 and hello.rank_id == 1
@@ -314,16 +314,22 @@ def test_rules_expire_after_duration_epochs():
 
 
 def test_control_plane_exempt_from_faults():
+    """A quorum link, which no router parks, is accepted straight off the
+    listener; the hello is its first frame."""
     rule = transport.FaultRule(replica_id=0, at_step=1)
     plan = active_plan(rule)
-    a, b, router = make_pair(plan=plan, purpose=wire.HELLO_CTRL)
+    listener = transport.Listener()
+    a = transport.connect(transport.PeerAddress(0, 0, "127.0.0.1", listener.port),
+                          wire.HELLO_QUORUM, (1, 0, 0, 0), plan=plan)
+    b = transport.Connection(listener.sock.accept()[0])
     try:
-        a.send_frame(wire.PREPARE, payload=b"")
-        assert b.recv_frame(timeout=1.0).msg_type == wire.PREPARE
+        assert b.recv_frame(timeout=1.0).msg_type == wire.HEARTBEAT
+        a.send_frame(wire.COMMIT, payload=b"")
+        assert b.recv_frame(timeout=1.0).msg_type == wire.COMMIT
     finally:
         a.close()
         b.close()
-        router.stop()
+        listener.close()
 
 
 def test_fault_rule_validation():

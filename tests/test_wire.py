@@ -75,9 +75,18 @@ def test_decision_trailing_garbage_is_fatal():
         wire.decode_decision(dec + b"\x00")
 
 
-def test_2pc_payload_roundtrip():
-    payload = wire.encode_2pc(50, 1, 1)
-    assert wire.decode_2pc(payload) == (50, 1, 1)
+def test_vote_payload_roundtrip():
+    payload = wire.encode_vote(7, 50, 1, 1, True, 12)
+    assert wire.decode_vote(payload) == (7, 50, 1, 1, True, 12)
+    assert wire.decode_outcome(wire.encode_outcome(7, 50)) == (7, 50)
+    with pytest.raises(Fatal):
+        wire.decode_vote(payload + b"\x00")
+
+
+def encode_fetch_resp(step: int, rank: int, data: bytes) -> bytes:
+    """A whole FETCH_STATE_RESP payload, the reference for the header the
+    router writes before the shard it sends from where it lies."""
+    return wire.encode_fetch_resp_head(step, rank, len(data)) + data
 
 
 def test_fetch_payloads_roundtrip():
@@ -85,7 +94,7 @@ def test_fetch_payloads_roundtrip():
     assert wire.decode_fetch_req(req) == (99, 1)
     with pytest.raises(Fatal):
         wire.decode_fetch_req(req + bytes(8))  # the old four-field request
-    resp = wire.encode_fetch_resp(99, 1, b"shardbytes")
+    resp = encode_fetch_resp(99, 1, b"shardbytes")
     assert wire.decode_fetch_resp(resp) == (99, 1, b"shardbytes")
 
 
