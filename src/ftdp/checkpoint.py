@@ -18,10 +18,10 @@ Three cooperating pieces:
 * The data-loader ledger: a single append-only text file with one
   "step,replica_id,cursor" line per replica commit. Its one writer is the
   quorum coordinator, which appends a step's lines in one O_APPEND write
-  before the commit leaves, so the file is in step order. Parsing
-  tolerates a torn final line, and a validator checks the exactly-once
-  contract: per replica, steps strictly increase and every line advances
-  the cursor by exactly the rank count.
+  before the decision that carries the commit leaves, so the file is in
+  step order. Parsing tolerates a torn final line, and a validator checks
+  the exactly-once contract: per replica, steps strictly increase and
+  every line advances the cursor by exactly the rank count.
 """
 
 from __future__ import annotations

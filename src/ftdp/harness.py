@@ -317,7 +317,6 @@ def run_scenario(scenario_path: str, run_dir: str,
         round_deadline_s=cfg.timeouts.quorum_round_s,
         join_wait_s=cfg.timeouts.join_wait_s,
         expected_replicas=n,
-        vote_deadline_s=cfg.timeouts.two_pc_s,
     ).start()
     # Rejoin gates go in before any worker starts: each gate binds only the
     # replacement incarnation, so the round can be held at exactly the gate

@@ -29,12 +29,13 @@ decision on every run. The first round waits for every expected replica's
 report, up to the join wait, so a run starts with its whole group.
 
 The coordinator also chairs each step's commit. Every member's leader
-votes on the link it reports on once its all-reduce is over; the
-coordinator commits once every healthy member has voted yes, appending
-their ledger lines in one write before the outcome leaves, and retries on
-any healthy member's no vote, lost link or silence. Every member hears the
-outcome, and as the ledger's one writer the coordinator keeps it in step
-order.
+votes on the link it reports on once its all-reduce is over, and the vote
+is also its report for the next round. The coordinator commits once every
+healthy member has voted yes, appending their ledger lines in one write,
+and retries on any healthy member's no vote, lost link or silence until
+the round closes. The outcome rides the next decision, so a step costs one
+round trip; every member hears it, and as the ledger's one writer the
+coordinator keeps the ledger in step order.
 
 QuorumEngine holds the decision rules; QuorumCoordinator serves them, and
 the commit vote, on one thread.
@@ -46,7 +47,7 @@ import logging
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,7 +60,6 @@ log = logging.getLogger(__name__)
 
 ROUND_DEADLINE_S = 2.0
 JOIN_WAIT_S = 10.0
-VOTE_DEADLINE_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,7 @@ class Decision:
     generation: int
     healthy: tuple[int, ...]
     behind: dict[int, int]  # replica -> its reported next_step
+    outcome: bool | None = None  # of the vote on epoch - 1: commit, retry, or none held
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -83,12 +84,12 @@ class Decision:
 
     def encode(self) -> bytes:
         return wire.encode_decision(self.epoch, self.target_step, self.generation,
-                                    list(self.healthy), dict(self.behind))
+                                    list(self.healthy), dict(self.behind), self.outcome)
 
     @classmethod
     def decode(cls, payload: bytes) -> "Decision":
-        epoch, target, gen, healthy, behind = wire.decode_decision(payload)
-        return cls(epoch, target, gen, tuple(sorted(healthy)), behind)
+        epoch, target, gen, healthy, behind, outcome = wire.decode_decision(payload)
+        return cls(epoch, target, gen, tuple(sorted(healthy)), behind, outcome)
 
 
 @dataclass
@@ -219,8 +220,9 @@ class QuorumEngine:
 
 
 class QuorumClient:
-    """Leader-rank side: one report, one decision, then (on a member) one
-    vote and its outcome, strictly alternating."""
+    """Leader-rank side: a report or a vote, each answered by one decision.
+    A vote is also this replica's report for the next round, so its answer
+    is kept and the next exchange returns it without a report."""
 
     def __init__(self, addr: transport.PeerAddress, replica_id: int, incarnation: int,
                  round_deadline_s: float = ROUND_DEADLINE_S, join_wait_s: float = JOIN_WAIT_S,
@@ -230,81 +232,73 @@ class QuorumClient:
         self.round_deadline_s = round_deadline_s
         self.join_wait_s = join_wait_s
         self.last_epoch = 0
+        self._kept: Decision | None = None  # the decision that answered the last vote
         self.conn = transport.connect(addr, wire.HELLO_QUORUM,
                                       (replica_id, 0, incarnation, 0),
                                       deadline_s=connect_deadline_s)
 
     def exchange(self, next_step: int, deadline_s: float | None = None) -> Decision:
-        """Report readiness for next_step and wait for the round's decision."""
-        resend_after = self.round_deadline_s + self.join_wait_s + 2.0
-        deadline = time.monotonic() + (deadline_s if deadline_s is not None
-                                       else 3 * resend_after)
-        payload = wire.encode_report(self.last_epoch, next_step,
-                                     self.replica_id, self.incarnation)
-        self.conn.send_frame(wire.QUORUM_REPORT, next_step, self.last_epoch, payload)
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise Recoverable(PEER_DOWN, "quorum coordinator unresponsive")
-            try:
-                frame = self.conn.recv_frame(timeout=min(resend_after, remaining))
-            except Recoverable:
-                if time.monotonic() >= deadline:
-                    raise
-                self.conn.send_frame(wire.QUORUM_REPORT, next_step, self.last_epoch, payload)
-                continue
-            if frame.msg_type != wire.QUORUM_DECISION:
-                if _epoch_of(frame) <= self.last_epoch:
-                    continue  # the outcome of a vote this leader left
-                raise Fatal(PROTOCOL_VIOLATION, f"expected QUORUM_DECISION, got {frame.name}")
-            decision = Decision.decode(frame.payload)
-            if decision.epoch <= self.last_epoch:
-                continue  # duplicate from a superseded round
-            self.last_epoch = decision.epoch
+        """The decision for this replica's next step: the one the last vote
+        brought, else the answer to a report of next_step."""
+        if self._kept is not None:
+            decision, self._kept = self._kept, None
             return decision
+        self.conn.send_frame(wire.QUORUM_REPORT, next_step, self.last_epoch,
+                             wire.encode_report(self.last_epoch, next_step,
+                                                self.replica_id, self.incarnation))
+        return self._next_decision(deadline_s)
 
-    def vote(self, decision: Decision, ok: bool, cursor: int, timeout_s: float) -> bool:
-        """Vote on decision's step and wait for the coordinator's outcome:
-        True on COMMIT. No outcome within timeout_s is PEER_DOWN, since the
-        step may have committed without this replica hearing of it."""
+    def vote(self, decision: Decision, ok: bool, cursor: int) -> bool:
+        """Vote on decision's step and return its outcome, True to commit,
+        which the next decision carries; that decision is kept for exchange."""
         self.conn.send_frame(wire.QUORUM_VOTE, decision.target_step, decision.epoch,
                              wire.encode_vote(decision.epoch, decision.target_step,
                                               self.replica_id, self.incarnation, ok, cursor))
-        deadline = time.monotonic() + timeout_s
-        while True:
-            try:
-                frame = self.conn.recv_frame(timeout=deadline - time.monotonic())
-            except Recoverable as exc:
-                if exc.reason != TIMEOUT:
-                    raise
-                raise Recoverable(PEER_DOWN, "quorum coordinator sent no outcome") from exc
-            epoch = _epoch_of(frame)
-            if epoch < decision.epoch:
-                continue  # from a superseded round
-            if epoch > decision.epoch or frame.msg_type not in (wire.COMMIT, wire.RETRY):
-                raise Fatal(PROTOCOL_VIOLATION,
-                            f"expected the outcome of epoch {decision.epoch}, got {frame.name}")
-            return frame.msg_type == wire.COMMIT
+        self._kept = self._next_decision()
+        if self._kept.epoch != decision.epoch + 1:
+            raise Fatal(PROTOCOL_VIOLATION, f"the vote on epoch {decision.epoch} was "
+                                            f"answered by epoch {self._kept.epoch}")
+        return self._kept.outcome is True
+
+    def _next_decision(self, deadline_s: float | None = None) -> Decision:
+        """Wait for the coordinator's next decision; none by the deadline is
+        PEER_DOWN. Each report or vote is answered by exactly one."""
+        if deadline_s is None:
+            deadline_s = 3 * (self.round_deadline_s + self.join_wait_s + 2.0)
+        try:
+            frame = self.conn.recv_frame(timeout=deadline_s)
+        except Recoverable as exc:
+            if exc.reason != TIMEOUT:
+                raise
+            raise Recoverable(PEER_DOWN, "quorum coordinator unresponsive") from exc
+        if frame.msg_type != wire.QUORUM_DECISION:
+            raise Fatal(PROTOCOL_VIOLATION, f"expected QUORUM_DECISION, got {frame.name}")
+        decision = Decision.decode(frame.payload)
+        self.last_epoch = decision.epoch
+        return decision
 
     def close(self) -> None:
         self.conn.close()
-
-
-def _epoch_of(frame: wire.Frame) -> int:
-    """The epoch a frame from the coordinator answers."""
-    if frame.msg_type == wire.QUORUM_DECISION:
-        return Decision.decode(frame.payload).epoch
-    if frame.msg_type in (wire.COMMIT, wire.RETRY):
-        return wire.decode_outcome(frame.payload)[0]
-    raise Fatal(PROTOCOL_VIOLATION, f"unexpected {frame.name} from the coordinator")
 
 
 @dataclass
 class _Vote:
     """The commit vote on one decision's step."""
     decision: Decision
-    cursors: dict[int, int] = field(default_factory=dict)  # healthy replica -> cursor, once yes
-    opened: float | None = None  # when its first vote came
+    ballots: dict[int, tuple[int, bool, int]] = field(default_factory=dict)
+    # ^ replica -> (incarnation, ok, cursor) of its vote
+    outcome: bool | None = None  # None while open
+
+    def report_of(self, replica_id: int) -> Report:
+        """A voter's report for the next round: the step after the vote's
+        after a commit it voted ok on, else the step it held. An open vote
+        reads as the retry it becomes if the round closes first."""
+        incarnation, ok, _cursor = self.ballots[replica_id]
+        d = self.decision
+        if self.outcome and ok:
+            return Report(d.target_step + 1, incarnation)
+        held = d.target_step if replica_id in d.healthy else d.behind[replica_id]
+        return Report(held, incarnation)
 
 
 class QuorumCoordinator(transport.SelectorService):
@@ -313,42 +307,42 @@ class QuorumCoordinator(transport.SelectorService):
 
     The thread is one selectors loop (serve) over the listener and every
     leader's link. It greets each dialer, admits a quorum link under
-    incarnation fencing and closes any other hello at once. It reads the
-    reports as they arrive and closes the round once every connected
-    replica has reported (or the round deadline passes, or only a scheduled
-    joiner is missing and the longer join wait applies), then answers every
-    report of the round with the decision.
+    incarnation fencing and closes any other hello at once. It reads
+    reports and votes as they arrive and closes the round once every
+    connected replica has reported (or the round deadline passes, or only a
+    scheduled joiner is missing and the longer join wait applies). The
+    decision goes to every reporter and to every member of the decision
+    voted on that still has a link, and it carries that vote's outcome.
 
-    A decision with a healthy set opens the commit vote on its step, and a
-    newer one replaces it (the older vote ends in RETRY). Each member's
-    leader votes on the same link once its all-reduce is over. The vote
-    ends in COMMIT once every healthy member has voted yes; before the
-    COMMIT leaves, the ledger gets every healthy member's line in one write.
-    It ends in RETRY at once on a healthy member's no vote or lost link, and
-    otherwise vote_deadline_s after its first vote. Every member with a link
-    hears the outcome; a lagging member's vote only starts that clock.
-    Between events the loop sleeps until the next of these deadlines;
+    A decision with a healthy set opens the commit vote on its step. Each
+    member's leader votes on its link once its all-reduce is over, and the
+    vote is also its report for the next round (see _Vote.report_of), so a
+    step costs one round trip. The vote commits once every healthy member
+    has voted yes; the ledger gets every healthy member's line in one write
+    right then, before any decision that carries the commit leaves. It
+    retries on a healthy member's no vote, lost link or replacement by a
+    newer incarnation, or when the round closes with a healthy vote still
+    missing. A vote on any other epoch is ignored, and is no report either.
+    Between events the loop sleeps until the round can next close;
     expect_join may come from any thread.
     """
 
     def __init__(self, listener: transport.Listener, ledger_path: str,
                  round_deadline_s: float = ROUND_DEADLINE_S,
                  join_wait_s: float = JOIN_WAIT_S,
-                 expected_replicas: int | None = None,
-                 vote_deadline_s: float = VOTE_DEADLINE_S):
+                 expected_replicas: int | None = None):
         super().__init__(listener, "quorum")
         self.engine = QuorumEngine()
         self.round_deadline_s = round_deadline_s
         self.join_wait_s = join_wait_s
         self.expected_replicas = expected_replicas
-        self.vote_deadline_s = vote_deadline_s
         self.ledger = checkpoint.LoaderLedger(ledger_path)
         self._assembled = expected_replicas is None
         self._lock = threading.Lock()  # the engine; expect_join comes from other threads
         self._links: dict[int, transport.Inbound] = {}  # replica -> its admitted link
-        self._reports: dict[int, Report] = {}  # the open round's, by replica
-        self._opened: float | None = None  # when the open round's first report came
-        self._vote: _Vote | None = None  # the open commit vote
+        self._reports: dict[int, Report] = {}  # the open round's QUORUM_REPORTs, by replica
+        self._opened: float | None = None  # when the open round's first report or vote came
+        self._vote: _Vote | None = None  # the newest decision's commit vote
 
     def expect_join(self, replica_id: int, not_before_step: int,
                     min_incarnation: int = 0) -> None:
@@ -375,17 +369,15 @@ class QuorumCoordinator(transport.SelectorService):
                 if frame.msg_type == wire.QUORUM_REPORT:
                     _epoch, next_step, rid, incarnation = wire.decode_report(frame.payload)
                 elif frame.msg_type == wire.QUORUM_VOTE:
-                    epoch, _target, rid, _inc, ok, cursor = wire.decode_vote(frame.payload)
+                    epoch, _target, rid, incarnation, ok, cursor = wire.decode_vote(frame.payload)
                 else:
                     raise Fatal(PROTOCOL_VIOLATION, f"unexpected {frame.name}")
                 if rid != link.hello.replica_id:
                     raise Fatal(PROTOCOL_VIOLATION, f"{frame.name} of replica {rid}")
-                if frame.msg_type == wire.QUORUM_VOTE:
-                    self._take_vote(epoch, rid, ok, cursor)
-                    continue
-                self._reports[rid] = Report(next_step, incarnation)
-                if self._opened is None:
-                    self._opened = time.monotonic()
+                if frame.msg_type == wire.QUORUM_REPORT:
+                    self._take_report(rid, Report(next_step, incarnation))
+                else:
+                    self._take_vote(epoch, rid, incarnation, ok, cursor)
         except (Recoverable, Fatal) as exc:
             log.debug("quorum: dropping the link of %s: %s", link.hello, exc)
             self._drop(link)
@@ -410,7 +402,8 @@ class QuorumCoordinator(transport.SelectorService):
         link.drop(self._sel)
         if link.hello and self._links.get(link.hello.replica_id) is link:
             del self._links[link.hello.replica_id]
-            if self._vote and link.hello.replica_id in self._vote.decision.healthy:
+            vote = self._vote
+            if vote and vote.outcome is None and link.hello.replica_id in vote.decision.healthy:
                 self._end_vote(commit=False)
 
     def _send(self, replicas, msg_type: int, step: int, epoch: int, payload: bytes) -> None:
@@ -422,64 +415,66 @@ class QuorumCoordinator(transport.SelectorService):
             except (Recoverable, Fatal):
                 self._drop(link)
 
-    def _take_vote(self, epoch: int, replica_id: int, ok: bool, cursor: int) -> None:
+    def _take_report(self, replica_id: int, report: Report) -> None:
+        """Take a report. A healthy member of the open vote that reports
+        will not vote, so the vote ends in retry."""
         vote = self._vote
-        if vote is None or epoch != vote.decision.epoch:
-            return  # a vote on a step whose outcome is out
-        if vote.opened is None:
-            vote.opened = time.monotonic()
-        if replica_id not in vote.decision.healthy:
-            return
-        if not ok:
+        if vote and vote.outcome is None and replica_id in vote.decision.healthy:
             self._end_vote(commit=False)
+        self._reports[replica_id] = report
+
+    def _take_vote(self, epoch: int, replica_id: int, incarnation: int, ok: bool,
+                   cursor: int) -> None:
+        """Count a member's vote on the open vote; any other vote is ignored."""
+        vote = self._vote
+        if vote is None or epoch != vote.decision.epoch or replica_id not in vote.decision.members:
             return
-        vote.cursors[replica_id] = cursor
-        if len(vote.cursors) == len(vote.decision.healthy):
-            self._end_vote(commit=True)
+        vote.ballots[replica_id] = (incarnation, ok, cursor)
+        if vote.outcome is None and replica_id in vote.decision.healthy:
+            if not ok:
+                self._end_vote(commit=False)
+            elif vote.ballots.keys() >= set(vote.decision.healthy):
+                self._end_vote(commit=True)
 
     def _end_vote(self, commit: bool) -> None:
-        """Send the open vote's outcome to its members; a COMMIT only once
-        the ledger holds the step's lines."""
-        vote, self._vote = self._vote, None
-        d = vote.decision
+        """Settle the open vote; a commit first puts the step in the ledger."""
+        vote = self._vote
+        vote.outcome = commit
         if commit:
-            self.ledger.append(d.target_step, {rid: vote.cursors[rid] for rid in d.healthy})
-        self._send(d.members, wire.COMMIT if commit else wire.RETRY, d.target_step, d.epoch,
-                   wire.encode_outcome(d.epoch, d.target_step))
+            d = vote.decision
+            self.ledger.append(d.target_step, {rid: vote.ballots[rid][2] for rid in d.healthy})
 
     def _tick(self, now: float) -> float:
-        """End the vote or close the round if due; return when one next
-        could without a new event (inf: never)."""
-        vote_due = math.inf
-        if self._vote and self._vote.opened is not None:
-            vote_due = self._vote.opened + self.vote_deadline_s
-            if now >= vote_due:
-                self._end_vote(commit=False)
-                vote_due = math.inf
-        return min(vote_due, self._close_round_when_due(now))
-
-    def _close_round_when_due(self, now: float) -> float:
         """Close the open round if its rules allow; otherwise return when
         they next could without a new event (inf while no round is open)."""
+        vote = self._vote
+        batch = {**{rid: vote.report_of(rid) for rid in vote.ballots}, **self._reports
+                 } if vote else dict(self._reports)
         if self._opened is None:
-            return math.inf
+            # The round opens at its first report or vote, but not while
+            # the open vote has none: its members are still at their step.
+            if not batch or vote and vote.outcome is None and not vote.ballots:
+                return math.inf
+            self._opened = now
         elapsed = now - self._opened
         held = self._opened + self.join_wait_s
         if not self._assembled:
             # Startup barrier: the first decision should cover the whole
             # configured group, not whoever reported first; after the join
             # wait the group starts degraded.
-            if len(self._reports) < self.expected_replicas and elapsed < self.join_wait_s:
+            if len(batch) < self.expected_replicas and elapsed < self.join_wait_s:
                 return held
             self._assembled = True
         with self._lock:
-            joiners = self.engine.pending_joiners(self._reports)
-        if joiners or self._links.keys() - self._reports.keys():
+            joiners = self.engine.pending_joiners(batch)
+        if joiners or self._links.keys() - batch.keys():
             if joiners and elapsed < self.join_wait_s:
                 return held  # hold the round open for the scheduled rejoin
             if elapsed < self.round_deadline_s:
                 return self._opened + self.round_deadline_s
-        batch, self._reports, self._opened = self._reports, {}, None
+        if vote and vote.outcome is None:
+            self._end_vote(commit=False)  # a healthy member's vote is missing
+        self._reports, self._opened = {}, None
         with self._lock:
             if joiners and elapsed >= self.join_wait_s:
                 for rid in joiners:
@@ -487,14 +482,13 @@ class QuorumCoordinator(transport.SelectorService):
                                 "its window; de-scheduling", rid)
                     self.engine.drop_admission(rid)
             decision = self.engine.decide(batch)
-        self._send(batch, wire.QUORUM_DECISION, decision.target_step, decision.epoch,
+        decision = replace(decision, outcome=vote.outcome if vote else None)
+        self._send(sorted(batch.keys() | (vote.decision.members if vote else ())),
+                   wire.QUORUM_DECISION, decision.target_step, decision.epoch,
                    decision.encode())
-        if decision.healthy:
-            if self._vote:
-                self._end_vote(commit=False)
-            self._vote = _Vote(decision)
-            if not self._links.keys() >= set(decision.healthy):
-                self._end_vote(commit=False)
+        self._vote = _Vote(decision) if decision.healthy else None
+        if self._vote and not self._links.keys() >= set(decision.healthy):
+            self._end_vote(commit=False)
         return math.inf
 
 

@@ -24,11 +24,13 @@ bit-identical parameters to the healthy peers in a single step.
 
 Whether a step commits is settled by the quorum coordinator: each member's
 leader sends one vote on the link it reports on (healthy members vote their
-collective's success, lagging ones only their install status), and the
-coordinator answers every member with commit or retry. A retry recomputes
-the same step from unchanged cursors after the next decision; consumption
-stays exactly-once because the coordinator appends every healthy member's
-ledger line before the commit leaves, so before anything irreversible.
+collective's success, lagging ones only their install status). The vote is
+also the leader's report for the next step, and the coordinator answers it
+with the next decision, which carries the outcome: one round trip per step.
+A retry recomputes the same step from unchanged cursors under that
+decision; consumption stays exactly-once because the coordinator appends
+every healthy member's ledger line before a decision carrying the commit
+leaves, so before anything irreversible.
 
 Beside the rank threads, the main thread joins them and watches their
 progress (watch_ranks), and one I/O thread (transport.ConnectionRouter)
@@ -278,9 +280,8 @@ class ControlPlane:
     chairs on the link the leader reports on (see quorum.QuorumCoordinator).
     """
 
-    def __init__(self, client: QuorumClient, timeout_s: float = 5.0):
+    def __init__(self, client: QuorumClient):
         self.client = client
-        self.timeout_s = timeout_s
 
     # Nothing in ftdp calls reconfig; perfbench's trace hook wraps it by name.
     def reconfig(self, decision: Decision) -> bool:
@@ -291,14 +292,16 @@ class ControlPlane:
 
         A healthy member votes its collective's success and its cursor after
         the step; a lagging one votes its install status, which decides
-        nothing. A replica outside the decision, or in one with no healthy
-        member, has no vote, and neither has a solo member that failed.
+        nothing. The vote stands for the next report, and the decision that
+        answers it is kept for the next exchange. A replica outside the
+        decision, or in one with no healthy member, has no vote, and neither
+        has a solo member that failed: each reports at its next exchange.
         """
         if self.client.replica_id not in decision.members or not decision.healthy:
             return False
         if len(decision.members) == 1 and not ok:
             return False
-        return self.client.vote(decision, ok, cursor, 2 * self.timeout_s)
+        return self.client.vote(decision, ok, cursor)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +578,7 @@ class _RankWorker:
                     join_wait_s=rt.cfg.timeouts.join_wait_s,
                     connect_deadline_s=rt.cfg.timeouts.connect_s * 4)
                 rt.mortality.register_closer(rt.client.close)
-                rt.ctrl = ControlPlane(rt.client, rt.cfg.timeouts.two_pc_s)
+                rt.ctrl = ControlPlane(rt.client)
             rt.intra.barrier(self.rank)  # all ranks up before reporting
             while self.iterate():
                 pass

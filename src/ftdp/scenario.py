@@ -30,7 +30,7 @@ reruns deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ftdp.errors import ConfigError
 from ftdp.model import LrPolicy
@@ -73,7 +73,7 @@ class Timeouts:
     quorum_round_s: float = 2.0
     join_wait_s: float = 10.0
     chunk_s: float = 5.0
-    two_pc_s: float = 5.0
+    two_pc_s: float = 5.0  # accepted, read by nothing: the commit vote ends with the round
     fetch_s: float = 5.0
     watchdog_s: float = 30.0
     connect_s: float = 5.0
@@ -133,11 +133,17 @@ def _typed(doc: dict, key: str, kind, default=None, required: bool = False):
     return val
 
 
+def _known(doc: dict, keys, where: str) -> None:
+    unknown = set(doc) - set(keys)
+    _require(not unknown, f"unknown {where} fields: {sorted(unknown)}")
+
+
 def parse_scenario(doc: dict) -> ScenarioConfig:
     _require(isinstance(doc, dict), "scenario must be a JSON object")
     name = _typed(doc, "name", str, required=True)
 
     topo_doc = _typed(doc, "topology", dict, required=True)
+    _known(topo_doc, [f.name for f in fields(Topology)], "topology")
     n = _typed(topo_doc, "num_replicas", int, required=True)
     r = _typed(topo_doc, "ranks_per_replica", int, required=True)
     dims = topo_doc.get("model_dims")
@@ -153,6 +159,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     failures = []
     for i, fdoc in enumerate(doc.get("failures", [])):
         _require(isinstance(fdoc, dict), f"failures[{i}] must be an object")
+        _known(fdoc, [f.name for f in fields(Failure)], f"failures[{i}]")
         kind = _typed(fdoc, "kind", str, required=True)
         _require(kind in FAILURE_KINDS,
                  f"failures[{i}].kind must be one of {FAILURE_KINDS}")
@@ -195,6 +202,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
              f"lr_intervention must be one of {LR_INTERVENTIONS}")
 
     seeds = _typed(doc, "seeds", dict, default={})
+    _known(seeds, ("model", "data"), "seeds")
     model_seed = _typed(seeds, "model", int, default=1234)
     data_seed = _typed(seeds, "data", int, default=99)
 
@@ -205,8 +213,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             val = _typed(tdoc, key, float)
             _require(val > 0, f"timeouts.{key} must be > 0")
             setattr(timeouts, key, val)
-    unknown = set(tdoc) - set(vars(timeouts))
-    _require(not unknown, f"unknown timeout fields: {sorted(unknown)}")
+    _known(tdoc, vars(timeouts), "timeouts")
 
     gdoc = _typed(doc, "tuning", dict, default={})
     tuning = Tuning()
@@ -215,8 +222,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             cur = getattr(tuning, key)
             kind = str if isinstance(cur, str) else (int if isinstance(cur, int) else float)
             setattr(tuning, key, _typed(gdoc, key, kind))
-    unknown = set(gdoc) - set(vars(tuning))
-    _require(not unknown, f"unknown tuning fields: {sorted(unknown)}")
+    _known(gdoc, vars(tuning), "tuning")
     _require(tuning.normalize_by in ("healthy", "world"),
              "tuning.normalize_by must be 'healthy' or 'world'")
     _require(tuning.chunk_bytes >= 4, "tuning.chunk_bytes must be >= 4")
@@ -230,10 +236,8 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         _require(f.at_step <= total,
                  f"failure at_step {f.at_step} beyond total_steps {total}")
 
-    unknown = set(doc) - {"name", "topology", "failures", "lr_intervention",
-                          "seeds", "timeouts", "checkpoint_interval",
-                          "total_steps", "tuning"}
-    _require(not unknown, f"unknown scenario fields: {sorted(unknown)}")
+    _known(doc, ("name", "topology", "failures", "lr_intervention", "seeds", "timeouts",
+                 "checkpoint_interval", "total_steps", "tuning"), "scenario")
 
     return ScenarioConfig(name=name, topology=topo, failures=failures,
                           lr_intervention=lr_iv, model_seed=model_seed,

@@ -24,8 +24,6 @@ CHUNK_ACK = 0x02
 QUORUM_REPORT = 0x10
 QUORUM_DECISION = 0x11
 QUORUM_VOTE = 0x12
-COMMIT = 0x22
-RETRY = 0x23
 FETCH_STATE_REQ = 0x30
 FETCH_STATE_RESP = 0x31
 HEARTBEAT = 0x40
@@ -37,8 +35,6 @@ KNOWN_TAGS = frozenset(
         QUORUM_REPORT,
         QUORUM_DECISION,
         QUORUM_VOTE,
-        COMMIT,
-        RETRY,
         FETCH_STATE_REQ,
         FETCH_STATE_RESP,
         HEARTBEAT,
@@ -51,8 +47,6 @@ TAG_NAMES = {
     QUORUM_REPORT: "QUORUM_REPORT",
     QUORUM_DECISION: "QUORUM_DECISION",
     QUORUM_VOTE: "QUORUM_VOTE",
-    COMMIT: "COMMIT",
-    RETRY: "RETRY",
     FETCH_STATE_REQ: "FETCH_STATE_REQ",
     FETCH_STATE_RESP: "FETCH_STATE_RESP",
     HEARTBEAT: "HEARTBEAT",
@@ -167,9 +161,17 @@ def decode_report(payload: bytes) -> tuple[int, int, int, int]:
     return _REPORT.unpack(payload)
 
 
+_DECISION_HEAD = struct.Struct("<QQIBI")  # epoch, target, generation, outcome, healthy count
+# A decision's outcome byte: that of the vote on the epoch before it, which
+# had no vote (None), committed (True) or retried (False).
+_OUTCOMES = (None, True, False)
+
+
 def encode_decision(epoch: int, target_step: int, generation: int,
-                    healthy: list[int], behind: dict[int, int]) -> bytes:
-    out = struct.pack("<QQII", epoch, target_step, generation, len(healthy))
+                    healthy: list[int], behind: dict[int, int],
+                    outcome: bool | None) -> bytes:
+    out = _DECISION_HEAD.pack(epoch, target_step, generation, _OUTCOMES.index(outcome),
+                              len(healthy))
     for rid in healthy:
         out += struct.pack("<I", rid)
     out += struct.pack("<I", len(behind))
@@ -178,10 +180,13 @@ def encode_decision(epoch: int, target_step: int, generation: int,
     return out
 
 
-def decode_decision(payload: bytes) -> tuple[int, int, int, list[int], dict[int, int]]:
+def decode_decision(payload: bytes
+                    ) -> tuple[int, int, int, list[int], dict[int, int], bool | None]:
     try:
-        epoch, target, generation, nh = struct.unpack_from("<QQII", payload, 0)
-        off = 24
+        epoch, target, generation, outcome, nh = _DECISION_HEAD.unpack_from(payload, 0)
+        if outcome >= len(_OUTCOMES):
+            raise Fatal(PROTOCOL_VIOLATION, f"bad QUORUM_DECISION outcome {outcome}")
+        off = _DECISION_HEAD.size
         healthy = []
         for _ in range(nh):
             (rid,) = struct.unpack_from("<I", payload, off)
@@ -196,7 +201,7 @@ def decode_decision(payload: bytes) -> tuple[int, int, int, list[int], dict[int,
             off += 12
         if off != len(payload):
             raise Fatal(PROTOCOL_VIOLATION, "trailing bytes in QUORUM_DECISION")
-        return epoch, target, generation, healthy, behind
+        return epoch, target, generation, healthy, behind, _OUTCOMES[outcome]
     except struct.error as exc:
         raise Fatal(PROTOCOL_VIOLATION, f"bad QUORUM_DECISION payload: {exc}") from exc
 
@@ -215,19 +220,6 @@ def decode_vote(payload: bytes) -> tuple[int, int, int, int, bool, int]:
         raise Fatal(PROTOCOL_VIOLATION, "bad QUORUM_VOTE payload")
     epoch, target, replica_id, incarnation, ok, cursor = _VOTE.unpack(payload)
     return epoch, target, replica_id, incarnation, bool(ok), cursor
-
-
-_OUTCOME = struct.Struct("<QQ")  # epoch, target: a COMMIT or RETRY payload
-
-
-def encode_outcome(epoch: int, target: int) -> bytes:
-    return _OUTCOME.pack(epoch, target)
-
-
-def decode_outcome(payload: bytes) -> tuple[int, int]:
-    if len(payload) != _OUTCOME.size:
-        raise Fatal(PROTOCOL_VIOLATION, "bad COMMIT/RETRY payload")
-    return _OUTCOME.unpack(payload)
 
 
 _FETCH_REQ = struct.Struct("<QI")  # step, rank

@@ -107,8 +107,7 @@ class Cluster:
             round_deadline_s=cfg.timeouts.quorum_round_s,
             join_wait_s=cfg.timeouts.join_wait_s,
             expected_replicas=cfg.topology.num_replicas,
-            vote_deadline_s=cfg.timeouts.two_pc_s,
-        ).start()
+            ).start()
         self.coord_addr = transport.PeerAddress(COORD_ID, 0, "127.0.0.1",
                                                 self._listener.port)
         self.handles: dict[int, _Handle] = {}

@@ -397,27 +397,31 @@ class Voters:
     """n leaders on a started coordinator that keeps a ledger, each holding
     the first round's decision."""
 
-    def __init__(self, tmp_path, n, vote_deadline_s, steps):
+    def __init__(self, tmp_path, n, round_deadline_s, steps):
         self.ledger = str(tmp_path / "ledger.txt")
         self.clients = {}
-        self.coord, addr = start_coordinator(
-            round_deadline_s=0.3, join_wait_s=2.0, expected_replicas=n,
-            vote_deadline_s=vote_deadline_s, ledger_path=self.ledger)
-        self.clients = {rid: QuorumClient(addr, rid, incarnation=1,
-                                          round_deadline_s=0.3, join_wait_s=2.0)
+        self.coord, self.addr = start_coordinator(
+            round_deadline_s=round_deadline_s, join_wait_s=2.0, expected_replicas=n,
+            ledger_path=self.ledger)
+        self.clients = {rid: QuorumClient(self.addr, rid, incarnation=1,
+                                          round_deadline_s=round_deadline_s, join_wait_s=2.0)
                         for rid in range(n)}
         self.decisions = exchange_all(self.clients, steps or {rid: 1 for rid in range(n)})
 
-    def vote(self, ballots):
-        """Each replica in ballots votes (ok, cursor) on its own thread.
-        Returns per replica the outcome (or the error), the seconds it took,
-        and the ledger as it stood once the outcome was read."""
+    def vote(self, ballots, after=None):
+        """Each replica in ballots votes (ok, cursor) on its own thread, after
+        after[rid] seconds if given. Returns per replica the outcome (or the
+        error), the seconds it took, and the ledger as it stood once the
+        outcome was read; the decisions that brought the outcomes replace
+        self.decisions."""
         outcomes, seconds, ledgers = {}, {}, {}
 
         def go(rid, ok, cursor):
+            time.sleep((after or {}).get(rid, 0.0))
             t0 = time.monotonic()
             try:
-                outcomes[rid] = self.clients[rid].vote(self.decisions[rid], ok, cursor, 5.0)
+                outcomes[rid] = self.clients[rid].vote(self.decisions[rid], ok, cursor)
+                self.decisions[rid] = self.clients[rid].exchange(0)  # the kept decision
             except errors.FtdpError as exc:
                 outcomes[rid] = exc
             seconds[rid] = time.monotonic() - t0
@@ -442,8 +446,8 @@ class Voters:
 def voters(tmp_path):
     made = []
 
-    def make(n=3, vote_deadline_s=2.0, steps=None):
-        made.append(Voters(tmp_path, n, vote_deadline_s, steps))
+    def make(n=3, round_deadline_s=0.3, steps=None):
+        made.append(Voters(tmp_path, n, round_deadline_s, steps))
         return made[-1]
 
     yield make
@@ -468,34 +472,82 @@ def test_vote_single_no_forces_retry(voters):
 
 
 def test_vote_no_retries_without_waiting(voters):
-    v = voters(vote_deadline_s=2.0)
-    outcomes, seconds, _l = v.vote({0: (False, 2), 1: (True, 2)})  # 2 stays silent
-    assert outcomes == {0: False, 1: False}
+    """Once every connected replica has voted, the decision carrying the
+    outcome goes out at once, whatever the round deadline."""
+    v = voters(round_deadline_s=2.0)
+    outcomes, seconds, _l = v.vote({0: (False, 2), 1: (True, 2), 2: (True, 2)})
+    assert outcomes == {0: False, 1: False, 2: False}
     assert max(seconds.values()) < 0.5
 
 
 def test_vote_healthy_member_that_never_votes_costs_a_retry(voters):
-    v = voters(vote_deadline_s=0.5)
+    """A silent healthy member costs one round deadline, counted from the
+    first vote. Its vote, once it comes, is too late to count, and the
+    decision that closed the round, sent to it as a member, gives it the
+    outcome at once."""
+    v = voters(round_deadline_s=0.3)
     outcomes, seconds, _l = v.vote({0: (True, 2), 1: (True, 2)})  # 2 stays silent
     assert outcomes == {0: False, 1: False}
-    assert 0.4 < max(seconds.values()) < 2.0
+    assert 0.25 < max(seconds.values()) < 0.6
     assert checkpoint.parse_ledger(v.ledger) == []
+    assert v.decisions[0].members == (0, 1)
+    outcomes, seconds, _l = v.vote({2: (True, 2)})
+    assert outcomes == {2: False} and seconds[2] < 0.2
+    assert v.decisions[2] == v.decisions[0]
 
 
-def test_vote_behind_member_gets_the_outcome_and_never_holds_it(voters):
+def test_vote_behind_member_gets_the_outcome(voters):
+    """A lagging member's vote decides nothing, but as its report it holds
+    the round, as any connected replica's report does; it hears the
+    outcome like every member."""
     v = voters(steps={0: 1, 1: 1, 2: 0})
     assert v.decisions[0].healthy == (0, 1) and v.decisions[0].behind == {2: 0}
-    outcomes, seconds, _l = v.vote({0: (True, 2), 1: (True, 4)})
-    assert outcomes == {0: True, 1: True}
-    assert max(seconds.values()) < 0.5
-    # The lagging leader votes once the outcome is out, and still reads it.
-    assert v.vote({2: (False, 0)})[0] == {2: True}
+    outcomes, seconds, _l = v.vote({0: (True, 2), 1: (True, 4), 2: (False, 0)},
+                                   after={2: 0.2})
+    assert outcomes == {0: True, 1: True, 2: True}
+    assert 0.15 < max(seconds[0], seconds[1]) < 0.5
     assert checkpoint.parse_ledger(v.ledger) == [(1, 0, 2), (1, 1, 4)]
+
+
+@pytest.mark.parametrize("installed", [True, False], ids=["installed", "not_installed"])
+def test_vote_of_a_lagging_member_is_its_report(voters, installed):
+    """A lagger that installs the committed step is healthy at the next
+    target; one that does not stays behind at the step it held."""
+    v = voters(steps={0: 1, 1: 1, 2: 0})
+    outcomes, _s, _l = v.vote({0: (True, 2), 1: (True, 4), 2: (installed, 0)})
+    assert outcomes == {0: True, 1: True, 2: True}
+    d = v.decisions[0]
+    assert all(v.decisions[rid] == d for rid in range(3))
+    assert d.target_step == 2 and d.outcome is True
+    if installed:
+        assert d.healthy == (0, 1, 2) and not d.behind
+    else:
+        assert d.healthy == (0, 1) and d.behind == {2: 0}
+
+
+def test_parked_report_starts_no_round_before_the_first_vote(voters):
+    """A replica outside the decision reports at once, while the members
+    are still at their step. Its report starts no round deadline until the
+    first vote is in, so slow members are not voted out by it."""
+    v = voters(round_deadline_s=0.3)
+    parked = QuorumClient(v.addr, 3, incarnation=1, round_deadline_s=0.3, join_wait_s=2.0)
+    out = {}
+    waiter = threading.Thread(target=lambda: out.update(d=parked.exchange(1)))
+    try:
+        waiter.start()
+        outcomes, _s, _l = v.vote({rid: (True, 2) for rid in range(3)},
+                                  after=dict.fromkeys(range(3), 0.5))
+        waiter.join(timeout=5.0)
+        assert outcomes == {0: True, 1: True, 2: True}
+        assert out["d"] == v.decisions[0]
+        assert out["d"].healthy == (0, 1, 2) and out["d"].behind == {3: 1}
+    finally:
+        parked.close()
 
 
 def test_vote_solo_and_unassigned(voters):
     v = voters(n=1)
-    plane = ControlPlane(v.clients[0], timeout_s=1.0)
+    plane = ControlPlane(v.clients[0])
     solo = v.decisions[0]
     assert solo.members == (0,)
     assert plane.round(solo, True, 2)
@@ -511,7 +563,7 @@ def test_vote_solo_and_unassigned(voters):
 
 
 def test_vote_healthy_member_whose_link_drops_retries_at_once(voters):
-    v = voters(vote_deadline_s=2.0)
+    v = voters(round_deadline_s=2.0)
     drop = threading.Timer(0.2, v.clients[2].close)
     drop.start()
     outcomes, seconds, _l = v.vote({0: (True, 2), 1: (True, 2)})
@@ -521,18 +573,19 @@ def test_vote_healthy_member_whose_link_drops_retries_at_once(voters):
 
 
 def test_vote_for_a_closed_round_is_ignored(voters):
-    v = voters(vote_deadline_s=0.5)
-    assert v.vote({0: (False, 2)})[0] == {0: False}
+    v = voters(round_deadline_s=0.3)
     stale = v.decisions[2]
-    # 1 and 2 skip the RETRY still unread on their links.
-    v.decisions = exchange_all(v.clients, {rid: 1 for rid in range(3)})
-    assert v.decisions[0].epoch > stale.epoch
-    # 2 votes yes on the closed round only; had that counted, this commits.
+    assert v.vote({0: (False, 2), 1: (True, 2), 2: (True, 2)})[0] == dict.fromkeys(range(3), False)
+    assert v.decisions[0].epoch > stale.epoch and v.decisions[0].healthy == (0, 1, 2)
+    # 2 votes yes on the closed round only. Had that counted toward the open
+    # vote, this commits; had it counted as 2's report, the round closes
+    # without waiting for 2.
     v.clients[2].conn.send_frame(wire.QUORUM_VOTE, 1, stale.epoch,
                                  wire.encode_vote(stale.epoch, 1, 2, 1, True, 2))
-    outcomes, _s, _l = v.vote({0: (True, 2), 1: (True, 2)})
+    outcomes, seconds, _l = v.vote({0: (True, 2), 1: (True, 2)})
     assert outcomes == {0: False, 1: False}
     assert checkpoint.parse_ledger(v.ledger) == []
+    assert max(seconds.values()) > 0.25 and v.decisions[0].members == (0, 1)
 
 
 # --------------------------------------------------------------- emulation

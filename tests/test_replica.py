@@ -502,11 +502,14 @@ def test_intra_waits_per_rank_per_step(tmp_path, monkeypatch):
 
 
 def test_control_frames_and_dials_per_step(tmp_path, monkeypatch):
-    """The control traffic of a failure-free 4x1 run. Every committed step
-    costs 4 each of QUORUM_REPORT, QUORUM_DECISION, QUORUM_VOTE and COMMIT,
-    one per leader on its quorum link, and no RETRY; the run dials only its
-    4 quorum links and its 4 ring links. The last decision, past the end of
-    the run, has no vote, so its frames are left out."""
+    """The control traffic of a failure-free 4x1 run: one round trip per
+    step on each leader's quorum link. Every committed step costs 4 each of
+    QUORUM_VOTE and QUORUM_DECISION, since a vote is also its leader's
+    report for the next step and the decision carries the vote's outcome.
+    The run sends 4 QUORUM_REPORTs in all, for step 1, and the decision
+    past the end of the run is the only frame at that step: no one votes on
+    it, and no outcome frame exists. The run dials only its 4 quorum links
+    and its 4 ring links."""
     frames = collections.Counter()  # (tag, step) of every frame sent
     dials = collections.Counter()  # purpose of every dial
     real_send = transport.Connection.send_frame
@@ -527,11 +530,14 @@ def test_control_frames_and_dials_per_step(tmp_path, monkeypatch):
     cfg.timeouts.quorum_round_s = 5.0  # a slow leader must not split a round
     cluster = Cluster(cfg, str(tmp_path))
     assert cluster.run(timeout_s=60) == {0: 0, 1: 0, 2: 0, 3: 0}
-    control = (wire.QUORUM_REPORT, wire.QUORUM_DECISION, wire.QUORUM_VOTE, wire.COMMIT)
+    control = (wire.QUORUM_DECISION, wire.QUORUM_VOTE)
     for step in range(1, steps + 1):
         assert {tag: frames[tag, step] for tag in control} == dict.fromkeys(control, 4), step
+    assert {step: n for (tag, step), n in frames.items() if tag == wire.QUORUM_REPORT} == {1: 4}
+    assert {tag: n for (tag, step), n in frames.items() if step == steps + 1} == {
+        wire.QUORUM_DECISION: 4}
     assert {tag for tag, step in frames if step <= steps} == {
-        *control, wire.HEARTBEAT, wire.CHUNK_ACK}
+        *control, wire.QUORUM_REPORT, wire.HEARTBEAT, wire.CHUNK_ACK}
     assert dials == {wire.HELLO_QUORUM: 4, wire.HELLO_RING: 4}
 
 
@@ -539,10 +545,14 @@ def test_pull_that_reaches_its_donor_late_installs_the_donors_new_state(tmp_path
                                                                       monkeypatch):
     """Replica 1 of 2x2 is killed at step 3 and lags on step 6, pulling step
     5 from replica 0, its one donor. Each rank's pull is held until the donor
-    has committed step 6, so the donor answers that it holds 6. The pull
-    then takes step 6 itself, and replica 1 installs it in place of step 5
-    plus the update: it is healthy again from step 7, and every replica
-    records the same state."""
+    has committed step 6, so the donor answers that it holds 6. The donor
+    learns that commit from the decision for step 7, and that round waits
+    for replica 1's vote, so the pull reaches its donor late only once the
+    round has closed without replica 1. The pull then takes step 6 itself,
+    and replica 1 installs it in place of step 5 plus the update. Its vote
+    came after the round closed, so it sits out step 7, lags on step 8
+    pulling 7, is healthy again from step 9, and every replica records the
+    same state."""
     real_fetch = checkpoint.fetch_shard
     asked = {}  # rank -> steps requested, in order
 
@@ -560,20 +570,20 @@ def test_pull_that_reaches_its_donor_late_installs_the_donors_new_state(tmp_path
         return real_fetch(addr, step, rank, *args, **kwargs)
 
     monkeypatch.setattr(checkpoint, "fetch_shard", late_pull)
-    cfg = quick_scenario(num_replicas=2, ranks=2, total_steps=8,
+    cfg = quick_scenario(num_replicas=2, ranks=2, total_steps=10,
                          failures=[kill_failure(3, 3, (1,))])
     cluster = Cluster(cfg, str(tmp_path))
     assert cluster.run(timeout_s=60) == {0: 0, 1: 0}
     cluster.validate_ledger()
     hashes = assert_replicas_agree(str(tmp_path))
-    assert asked == {0: [5, 6], 1: [5, 6]}
+    assert asked == {0: [5, 6, 7], 1: [5, 6, 7]}
     rows = read_metrics(str(tmp_path))
     h = {r["step"]: r["healthy_count"] for r in rows
          if r["replica_id"] == 0 and r["phase"] == "commit"}
-    assert h == {1: 2, 2: 2, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2, 8: 2}
+    assert h == {1: 2, 2: 2, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1, 9: 2, 10: 2}
     assert any(r["step"] == 6 and r["replica_id"] == 1
                and r["event"] == "catch-up" for r in rows)
-    assert (6, 1) in read_hashes(str(tmp_path)) and 8 in hashes
+    assert (6, 1) in read_hashes(str(tmp_path)) and 10 in hashes
 
 
 def test_kill_run_is_bitwise_deterministic(tmp_path):

@@ -2,6 +2,7 @@
 malformed shape a config file can plausibly take."""
 
 import json
+import os
 
 import pytest
 
@@ -128,6 +129,13 @@ REJECTED = [
     ("drop window exhausts retry budget", base_doc(
         failures=[{"kind": "drop_links", "at_step": 1, "duration_steps": 3}])),
     ("unknown lr intervention", base_doc(lr_intervention="cubic")),
+    ("unknown topology key", base_doc(topology={"num_replicas": 1, "ranks_per_replica": 1,
+                                                "model_dims": [2, 2, 2], "micro_batch": 1,
+                                                "replicas": 4})),
+    ("unknown failure key", base_doc(
+        failures=[{"kind": "kill_replica", "at_step": 1, "duration_steps": 1,
+                   "replica": [1]}])),  # "replicas" misspelt: it would target replica 3
+    ("unknown seeds key", base_doc(seeds={"modle": 5})),
     ("unknown timeout key", base_doc(timeouts={"nap_s": 1.0})),
     ("non-positive timeout", base_doc(timeouts={"watchdog_s": 0})),
     ("unknown tuning key", base_doc(tuning={"warp": 9})),
@@ -169,3 +177,20 @@ def test_overlapping_windows_on_one_replica_rejected():
          "replicas": [3]},
     ])
     parse_scenario(doc)
+
+
+def test_benchmark_documents_parse():
+    """The benchmark's workloads write scenario documents of their own
+    (perfbench/workloads.py, loaded read-only). Each must parse, so a field
+    it sets cannot be dropped from the scenario format unnoticed."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    with open(path) as fh:
+        code = compile(fh.read(), path, "exec")  # no bytecode cache is written
+    workloads = {"__name__": "perfbench_workloads"}
+    exec(code, workloads)
+    assert len(workloads["WORKLOADS"]) == 3
+    for name in workloads["WORKLOADS"]:
+        for seed in (1, 2):
+            cfg = parse_scenario(workloads["make_scenario"](name, seed))
+            assert cfg.name == name

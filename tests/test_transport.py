@@ -324,8 +324,8 @@ def test_control_plane_exempt_from_faults():
     b = transport.Connection(listener.sock.accept()[0])
     try:
         assert b.recv_frame(timeout=1.0).msg_type == wire.HEARTBEAT
-        a.send_frame(wire.COMMIT, payload=b"")
-        assert b.recv_frame(timeout=1.0).msg_type == wire.COMMIT
+        a.send_frame(wire.QUORUM_VOTE, payload=b"")
+        assert b.recv_frame(timeout=1.0).msg_type == wire.QUORUM_VOTE
     finally:
         a.close()
         b.close()

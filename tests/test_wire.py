@@ -62,15 +62,18 @@ def test_report_and_decision_roundtrip():
     payload = wire.encode_report(9, 100, 3, 2)
     assert wire.decode_report(payload) == (9, 100, 3, 2)
 
-    dec = wire.encode_decision(9, 100, 5, [0, 1, 2], {3: 96})
-    assert wire.decode_decision(dec) == (9, 100, 5, [0, 1, 2], {3: 96})
+    for outcome in (None, True, False):
+        dec = wire.encode_decision(9, 100, 5, [0, 1, 2], {3: 96}, outcome)
+        assert wire.decode_decision(dec) == (9, 100, 5, [0, 1, 2], {3: 96}, outcome)
 
-    dec = wire.encode_decision(1, 0, 1, [], {})
-    assert wire.decode_decision(dec) == (1, 0, 1, [], {})
+    dec = wire.encode_decision(1, 0, 1, [], {}, None)
+    assert wire.decode_decision(dec) == (1, 0, 1, [], {}, None)
+    with pytest.raises(Fatal):
+        wire.decode_decision(dec[:20] + b"\x03" + dec[21:])  # no such outcome
 
 
 def test_decision_trailing_garbage_is_fatal():
-    dec = wire.encode_decision(9, 100, 5, [0, 1], {})
+    dec = wire.encode_decision(9, 100, 5, [0, 1], {}, True)
     with pytest.raises(Fatal):
         wire.decode_decision(dec + b"\x00")
 
@@ -78,7 +81,6 @@ def test_decision_trailing_garbage_is_fatal():
 def test_vote_payload_roundtrip():
     payload = wire.encode_vote(7, 50, 1, 1, True, 12)
     assert wire.decode_vote(payload) == (7, 50, 1, 1, True, 12)
-    assert wire.decode_outcome(wire.encode_outcome(7, 50)) == (7, 50)
     with pytest.raises(Fatal):
         wire.decode_vote(payload + b"\x00")
 
