@@ -13,7 +13,9 @@ same sequence of intra-replica sync points so the threads cannot deadlock:
 
 Each sync point is one wait (see IntraGroup). A steady healthy step costs
 every rank five waits and a ring rebuild one more; a lagging step skips the
-reduce-scatter, and the update barrier too unless it installs.
+reduce-scatter, and the update barrier too unless it installs. The waits
+behind sibling compute are bounded, so a stuck rank takes its replica
+down within about chunk_s instead of holding the group until the watchdog.
 
 Healthy replicas compute gradients from their own batch cursor, reduce them
 intra-replica, then across same-rank peers on the ring. Lagging replicas join
@@ -53,6 +55,7 @@ import numpy as np
 from ftdp import checkpoint, ftar, model, transport
 from ftdp.errors import (
     PEER_DOWN,
+    TIMEOUT,
     ConfigError,
     Fatal,
     FtdpError,
@@ -189,6 +192,19 @@ class IntraGroup:
     The wait is a counter and a generation under one lock (Mellor-Crummey
     and Scott, TOCS 1991). abort() makes current and future waits raise
     _Halt, so a dying replica unwinds all its ranks.
+
+    A wait may carry a bound (bound_s). A rank still waiting when it passes
+    raises Recoverable(TIMEOUT) and breaks the group as abort() does; the
+    rank's replica then goes down, its links reset, and the group stops
+    waiting for it. Only the waits whose siblings are computing take one:
+    the reduce-scatter and the update barrier wait out at most chunk_s, the
+    compute skew the ring already grants a peer, and the link-status
+    exchange connect_s + chunk_s, since a sibling may still be rebuilding
+    its ring. The other waits sit behind a call that has its own deadline
+    (the decision and outcome broadcasts, behind the leader's quorum
+    calls; the status exchange, behind the all-reduce or the fetch) or
+    behind the disk (the checkpoint barrier). For them, and for a replica
+    of one rank, which never waits here, the watchdog is the only guard.
     """
 
     def __init__(self, n_ranks: int):
@@ -200,7 +216,7 @@ class IntraGroup:
         self._slots = ([None] * n_ranks, [None] * n_ranks)
         self._ops = [0] * n_ranks
 
-    def _sync(self) -> None:
+    def _sync(self, bound_s: float | None = None, point: str = "") -> None:
         with self._cond:
             if self._broken:
                 raise _Halt()
@@ -211,10 +227,20 @@ class IntraGroup:
                 self._cond.notify_all()
                 return
             gen = self._generation
+            deadline = None if bound_s is None else time.monotonic() + bound_s
             while gen == self._generation:
                 if self._broken:
                     raise _Halt()
-                self._cond.wait()
+                if deadline is None:
+                    self._cond.wait()
+                    continue
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    self._broken = True
+                    self._cond.notify_all()
+                    raise Recoverable(TIMEOUT, f"{point}: a sibling rank missed "
+                                               f"the {bound_s:.2f}s bound")
+                self._cond.wait(left)
 
     def _next_slots(self, rank: int) -> list:
         k = self._ops[rank]
@@ -226,8 +252,8 @@ class IntraGroup:
             self._broken = True
             self._cond.notify_all()
 
-    def barrier(self, rank: int) -> None:
-        self._sync()
+    def barrier(self, rank: int, bound_s: float | None = None) -> None:
+        self._sync(bound_s, "barrier")
 
     def broadcast(self, rank: int, value=None):
         slots = self._next_slots(rank)
@@ -236,21 +262,22 @@ class IntraGroup:
         self._sync()
         return slots[0]
 
-    def exchange(self, rank: int, value) -> list:
+    def exchange(self, rank: int, value, bound_s: float | None = None) -> list:
         slots = self._next_slots(rank)
         slots[rank] = value
-        self._sync()
+        self._sync(bound_s, "exchange")
         return list(slots)
 
     def reduce_scatter(self, rank: int, vec: np.ndarray,
                        bounds: list[tuple[int, int]],
-                       out: np.ndarray | None = None) -> np.ndarray:
+                       out: np.ndarray | None = None,
+                       bound_s: float | None = None) -> np.ndarray:
         """Sum over ranks, each rank keeping its own shard, in out if given.
         The fold runs rank 0 upward on every rank, so all replicas sum in
         one order."""
         slots = self._next_slots(rank)
         slots[rank] = vec
-        self._sync()
+        self._sync(bound_s, "reduce_scatter")
         off, ln = bounds[rank]
         if out is None:
             out = np.empty(ln, dtype=vec.dtype)
@@ -413,13 +440,17 @@ class _RankWorker:
                 rt.fired.add(i)
                 log.info("replica %d rank %d: scripted hang at step %d",
                          rt.rid, self.rank, f.at_step)
+                # Mark no progress: a sibling's bounded wait takes the
+                # replica down, or the watchdog where no sibling reaches
+                # one (a replica of one rank, or a lagging step).
                 while not rt.mortality.dying.wait(0.05):
-                    pass  # mark no progress; the main thread's check exits the process
+                    pass
                 raise _Halt()
 
     def iterate(self) -> bool:
         """One decision epoch. Returns False once the run is complete."""
         rt = self.rt
+        timeouts = rt.cfg.timeouts
         self.mark()
         t_start = time.monotonic()
         stall = 0.0
@@ -456,12 +487,13 @@ class _RankWorker:
             try:
                 addrs = {m: rt.book.lookup(m, self.rank) for m in decision.members}
                 self.ring.reconfig(addrs, decision.generation,
-                                   deadline_s=rt.cfg.timeouts.connect_s)
+                                   deadline_s=timeouts.connect_s)
             except Recoverable as exc:
                 log.warning("replica %d rank %d: reconfig failed: %s",
                             rt.rid, self.rank, exc.detail)
                 rc_ok = False
-            link_ok = all(rt.intra.exchange(self.rank, rc_ok))
+            link_ok = all(rt.intra.exchange(self.rank, rc_ok,
+                                            bound_s=timeouts.connect_s + timeouts.chunk_s))
 
         # Phase 2: compute (healthy) or zero-contribute and pull (lagging).
         if role == "healthy":
@@ -473,7 +505,7 @@ class _RankWorker:
             self.loss, grad_full = model.forward_backward(
                 model.ModelState(rt.dims, self.params_full, rt.step), batch, self.ws)
             grad_shard = rt.intra.reduce_scatter(self.rank, grad_full, rt.shard_bounds,
-                                                 self.grad_shard)
+                                                 self.grad_shard, bound_s=timeouts.chunk_s)
         else:
             self.loss = None
             grad_shard = self.grad_shard
@@ -487,7 +519,7 @@ class _RankWorker:
             try:
                 ftar.ftar_all_reduce(self.ring, grad_shard, target, rt.pipe_cfg)
             except Recoverable as exc:
-                log.info("replica %d rank %d: reduction failed: %s",
+                log.warning("replica %d rank %d: reduction failed: %s",
                          rt.rid, self.rank, exc.detail)
                 ftar_ok = False
         fetch_ok = role == "healthy" or self.join_fetch(target - 1)
@@ -544,7 +576,7 @@ class _RankWorker:
             # Every shard, and its float64 copy, is updated before any rank
             # reads the whole state: rank 0's hash now, every rank's forward
             # pass next step.
-            rt.intra.barrier(self.rank)
+            rt.intra.barrier(self.rank, bound_s=timeouts.chunk_s)
             if self.rank == 0:
                 rt.record_hash(target)
             # The lowest healthy replica writes the checkpoint, so an
@@ -586,7 +618,7 @@ class _RankWorker:
         except _Halt:
             pass
         except Recoverable as exc:
-            log.warning("replica %d rank %d stopping: %s", rt.rid, self.rank, exc)
+            log.error("replica %d rank %d stopping: %s", rt.rid, self.rank, exc)
             self._die_quietly(EXIT_FATAL)
         except (Fatal, InvariantViolation) as exc:
             log.error("replica %d rank %d: %s", rt.rid, self.rank, exc)

@@ -19,10 +19,12 @@ trajectory lives here so a run is a pure function of (scenario, code).
 
 Failure kinds: kill_replica (the process exits the moment it sees the
 decision for at_step and is respawned, gated to rejoin duration_steps
-later), hang_rank (one rank stops making progress until the watchdog
-kills the process; "rank" selects which, default 0), drop_links (the
-replica's data-plane links are black-holed for duration_steps decision
-epochs; control traffic is unaffected). "replicas" picks explicit
+later), hang_rank (one rank stops making progress; a sibling's bounded
+wait takes the process down within about chunk_s, or the watchdog does
+where no sibling reaches one, as in a replica of one rank, and it is
+respawned like a kill; "rank" selects which, default 0), drop_links (the replica's data-plane links are
+black-holed for duration_steps decision epochs; control traffic is
+unaffected). "replicas" picks explicit
 targets; without it the highest-numbered replicas are chosen, which keeps
 reruns deterministic.
 """

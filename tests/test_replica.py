@@ -18,6 +18,7 @@ from ftdp.replica import (
     FilePortBook,
     IntraGroup,
     Mortality,
+    ReplicaRuntime,
     _Halt,
     _RankWorker,
     watch_ranks,
@@ -132,6 +133,47 @@ def test_abort_unblocks_waiters_as_halt():
         g.broadcast(0, 1)  # barrier stays broken
     with pytest.raises(_Halt):
         g.barrier(0)
+
+
+BOUNDED_OPS = {
+    "barrier": lambda g, bound: g.barrier(0, bound_s=bound),
+    "exchange": lambda g, bound: g.exchange(0, "x", bound_s=bound),
+    "reduce_scatter": lambda g, bound: g.reduce_scatter(
+        0, np.ones(4, dtype=np.float32), [(0, 2), (2, 2)], bound_s=bound),
+}
+
+
+@pytest.mark.parametrize("op", sorted(BOUNDED_OPS))
+def test_bounded_wait_fails_when_a_sibling_never_arrives(op):
+    g = IntraGroup(2)
+    t0 = time.monotonic()
+    with pytest.raises(Recoverable, match=op):
+        BOUNDED_OPS[op](g, 0.3)
+    elapsed = time.monotonic() - t0
+    assert 0.3 <= elapsed < 0.3 + 0.2
+    with pytest.raises(_Halt):
+        g.barrier(1)  # the late sibling finds the group broken
+
+
+def test_bounded_wait_holds_for_a_sibling_inside_the_bound():
+    g = IntraGroup(2)
+
+    def rank(r):
+        if r == 1:
+            time.sleep(0.15)
+        return g.exchange(r, r, bound_s=1.0)
+
+    assert run_ranks(2, rank) == [[0, 1], [0, 1]]
+    assert run_ranks(2, lambda r: g.barrier(r, bound_s=0.5)) == [None, None]
+
+
+def test_abort_ends_a_bounded_wait_as_halt():
+    g = IntraGroup(2)
+    threading.Timer(0.05, g.abort).start()
+    t0 = time.monotonic()
+    with pytest.raises(_Halt):
+        g.barrier(0, bound_s=5.0)
+    assert time.monotonic() - t0 < 1.0
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -449,9 +491,9 @@ def test_intra_waits_per_rank_per_step(tmp_path, monkeypatch):
     real_fetch = checkpoint.fetch_shard
     failed = set()
 
-    def counting_sync(self):
+    def counting_sync(self, *args):
         local.waits = getattr(local, "waits", 0) + 1
-        real_sync(self)
+        real_sync(self, *args)
 
     def recording_broadcast(self, rank, value=None):
         out = real_broadcast(self, rank, value)
@@ -613,26 +655,84 @@ def test_kill_run_is_bitwise_deterministic(tmp_path):
 
 
 def test_hung_rank_sheds_whole_replica(tmp_path):
+    """Rank 1 of replica 2 hangs at step 3. Its leader's reduce-scatter
+    wait passes its chunk_s bound, so the replica goes down once, well
+    inside the watchdog; the group commits step 3 without it, and the
+    replacement rejoins at its gate and ends the run healthy."""
     from ftdp.scenario import Failure
 
     cfg = quick_scenario(num_replicas=3, ranks=2, total_steps=8,
                          failures=[Failure("hang_rank", 3, 3, 1, (2,), rank=1)])
     cfg.timeouts.chunk_s = 1.0
-    cfg.timeouts.two_pc_s = 1.0
     cfg.timeouts.fetch_s = 1.0
     cfg.timeouts.watchdog_s = 6.0
     cluster = Cluster(cfg, str(tmp_path))
     codes = cluster.run(timeout_s=70)
-    assert codes[0] == 0 and codes[1] == 0
-    assert codes[2] != 0  # reaped, never a clean exit
+    assert codes == {0: 0, 1: 0, 2: 0}
+    assert cluster.respawns == {2: 1}
     cluster.validate_ledger()
-    rows = read_metrics(str(tmp_path))
-    h = {r["step"]: r["healthy_count"] for r in rows
-         if r["replica_id"] == 0 and r["phase"] == "commit"}
-    assert h[2] == 3 and h[3] == 2 and h[8] == 2
-    hashes = read_hashes(str(tmp_path))
-    for step in range(1, 9):
-        assert hashes[(step, 0)] == hashes[(step, 1)]
+    assert_replicas_agree(str(tmp_path))
+    h = healthy_counts(str(tmp_path), 0)
+    assert h[2] == 3 and h[3] == 2 and h[8] == 3
+
+
+def healthy_counts(run_dir, rid):
+    """step -> healthy_count of replica rid's commit rows."""
+    return {r["step"]: r["healthy_count"] for r in read_metrics(run_dir)
+            if r["replica_id"] == rid and r["phase"] == "commit"}
+
+
+@pytest.mark.parametrize("hung_rank", [0, 1])
+def test_hang_on_a_steady_step_costs_one_chunk_timeout(tmp_path, monkeypatch, hung_rank):
+    """A rank of replica 2 of 3x2 hangs on steady healthy step 3. Its
+    sibling's bounded reduce-scatter wait takes the replica down at about
+    chunk_s, its quorum link drops, and the coordinator closes the round
+    at once instead of waiting out quorum_round_s for a leader that cannot
+    vote. So the survivors spend about chunk_s on the step, where waiting
+    on the hung leader costs chunk_s + quorum_round_s or more, and the hung
+    replica is down long before watchdog_s. The outage puts the rejoin gate
+    at step 8, so the join hold falls outside step 3. Reruns agree."""
+    from ftdp.scenario import Failure
+
+    lifetimes = {}  # (replica, incarnation) -> (exit code, seconds alive)
+    real_run = ReplicaRuntime.run
+
+    def timed_run(self):
+        t0 = time.monotonic()
+        code = real_run(self)
+        lifetimes[self.rid, self.incarnation] = (code, time.monotonic() - t0)
+        return code
+
+    monkeypatch.setattr(ReplicaRuntime, "run", timed_run)
+    hang = 3
+    cfg = quick_scenario(num_replicas=3, ranks=2, total_steps=10,
+                         failures=[Failure("hang_rank", hang, 5, 1, (2,), rank=hung_rank)])
+    cfg.timeouts.chunk_s = 0.5
+    cfg.timeouts.quorum_round_s = 1.0
+    cfg.timeouts.watchdog_s = 10.0
+    runs = []
+    for i in range(2):
+        run_dir = str(tmp_path / f"run{i}")
+        lifetimes.clear()
+        cluster = Cluster(cfg, run_dir)
+        assert cluster.run(timeout_s=60) == {0: 0, 1: 0, 2: 0}
+        assert cluster.respawns == {2: 1}
+        cluster.validate_ledger()
+        assert_replicas_agree(run_dir)
+        code, alive_s = lifetimes[2, 0]
+        assert code == EXIT_FATAL
+        assert alive_s < cfg.timeouts.watchdog_s / 4, alive_s
+        rows = read_metrics(run_dir)
+        for rid in (0, 1):
+            attempts = [r for r in rows if r["replica_id"] == rid and r["step"] == hang]
+            assert [r["phase"] for r in attempts] == ["retry", "commit"]
+            wall_s = sum(r["wall_ms"] for r in attempts) / 1e3
+            assert wall_s <= cfg.timeouts.chunk_s + cfg.timeouts.quorum_round_s / 2, (
+                rid, wall_s)
+        runs.append((digest_history(run_dir), sorted(cluster.ledger_entries()),
+                     {rid: healthy_counts(run_dir, rid) for rid in range(3)}))
+    assert runs[0] == runs[1]
+    assert runs[0][2][0][hang] == 2
 
 
 def test_blackholed_links_retry_then_heal(tmp_path):

@@ -1,13 +1,14 @@
 """Run-config parsing: happy path, JSON round-trip, and rejection of every
 malformed shape a config file can plausibly take."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
 from ftdp.errors import ConfigError
-from ftdp.scenario import load_scenario, parse_scenario
+from ftdp.scenario import Timeouts, load_scenario, parse_scenario
 from helpers import to_json
 
 
@@ -194,3 +195,21 @@ def test_benchmark_documents_parse():
         for seed in (1, 2):
             cfg = parse_scenario(workloads["make_scenario"](name, seed))
             assert cfg.name == name
+
+
+def test_readme_timeouts_table_names_every_timeout():
+    """The README's table of timeouts lists exactly the fields of
+    scenario.Timeouts, each with its default, so the two cannot drift
+    apart."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "README.md")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| field | default | what it bounds |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name, default = (cell.strip() for cell in line.split("|")[1:3])
+        table[name.strip("`")] = float(default)
+    assert table == {f.name: f.default for f in dataclasses.fields(Timeouts)}
