@@ -19,12 +19,9 @@ import logging
 import sys
 import time
 
-from ftdp.errors import ConfigError, InvariantViolation
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_INVARIANT = 3
-EXIT_FATAL = 4
+from ftdp.errors import (
+    EXIT_CONFIG, EXIT_FATAL, EXIT_INVARIANT, EXIT_OK, ConfigError, InvariantViolation,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:

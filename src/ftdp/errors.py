@@ -21,6 +21,13 @@ INTERNAL_INVARIANT = "internal_invariant"
 RECOVERABLE_REASONS = frozenset({TIMEOUT, PEER_RESET, PEER_DOWN})
 FATAL_REASONS = frozenset({PROTOCOL_VIOLATION, NUMERICAL, INTERNAL_INVARIANT})
 
+# Process exit codes, shared by the workers, the harness and the CLI.
+EXIT_OK = 0
+EXIT_CONFIG = 2  # ConfigError
+EXIT_INVARIANT = 3  # InvariantViolation
+EXIT_FATAL = 4  # any other failure
+EXIT_KILLED = 9  # scripted process death
+
 
 class FtdpError(Exception):
     """Base class; carries a reason tag from the fixed taxonomy."""
@@ -46,11 +53,11 @@ class Fatal(FtdpError):
 
 
 class ConfigError(Exception):
-    """Bad scenario or runtime configuration. Maps to exit code 2."""
+    """Bad scenario or runtime configuration. Maps to EXIT_CONFIG."""
 
 
 class InvariantViolation(Exception):
-    """A checked run invariant failed. Maps to exit code 3."""
+    """A checked run invariant failed. Maps to EXIT_INVARIANT."""
 
 
 class SnapshotUnavailable(Exception):

@@ -25,17 +25,16 @@ import time
 from dataclasses import dataclass, field
 
 from ftdp import checkpoint, transport
-from ftdp.errors import ConfigError, InvariantViolation
+from ftdp.errors import (
+    EXIT_CONFIG, EXIT_FATAL, EXIT_INVARIANT, EXIT_OK, ConfigError, InvariantViolation,
+)
 from ftdp.quorum import QuorumCoordinator
-from ftdp.replica import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK
-from ftdp.scenario import ScenarioConfig, load_scenario
+from ftdp.scenario import load_scenario
 
 log = logging.getLogger("ftdp.harness")
 
 CSV_COLUMNS = ("step", "replica_id", "phase", "wall_ms", "healthy_count",
                "tokens_committed", "loss", "stall_ms", "event")
-
-EXIT_FATAL = 4
 
 # Workers run one BLAS thread per rank: the R rank threads and the N replica
 # processes already use every core, and a thread pool per process on top
@@ -258,7 +257,7 @@ class _Worker:
         self.observed = False
 
 
-def _spawn_worker(cfg_path: str, cfg: ScenarioConfig, rid: int, incarnation: int,
+def _spawn_worker(cfg_path: str, rid: int, incarnation: int,
                   run_dir: str, coord_port: int, log_fh,
                   restore: tuple[str, int, dict[int, int]] | None,
                   log_level: str) -> _Worker:
@@ -341,9 +340,8 @@ def run_scenario(scenario_path: str, run_dir: str,
     try:
         for rid in range(n):
             logs[rid] = open(os.path.join(run_dir, f"worker{rid}.log"), "ab")
-            workers[rid] = _spawn_worker(scenario_path, cfg, rid, 0, run_dir,
-                                         listener.port, logs[rid], restore,
-                                         log_level)
+            workers[rid] = _spawn_worker(scenario_path, rid, 0, run_dir,
+                                         listener.port, logs[rid], restore, log_level)
         deadline = time.monotonic() + timeout_s
         pending: dict[int, tuple[float, int]] = {}  # rid -> (due, incarnation)
         spawn_counts = {rid: 0 for rid in range(n)}
@@ -388,9 +386,8 @@ def run_scenario(scenario_path: str, run_dir: str,
                 elif now >= due:
                     del pending[rid]
                     respawns += 1
-                    workers[rid] = _spawn_worker(scenario_path, cfg, rid, inc,
-                                                 run_dir, listener.port,
-                                                 logs[rid], restore, log_level)
+                    workers[rid] = _spawn_worker(scenario_path, rid, inc, run_dir,
+                                                 listener.port, logs[rid], restore, log_level)
             if completed:
                 grace = time.monotonic() + 10.0
                 while (time.monotonic() < grace

@@ -221,8 +221,7 @@ class QuorumEngine:
 
 class QuorumClient:
     """Leader-rank side: a report or a vote, each answered by one decision.
-    A vote is also this replica's report for the next round, so its answer
-    is kept and the next exchange returns it without a report."""
+    A vote is also this replica's report for the next round."""
 
     def __init__(self, addr: transport.PeerAddress, replica_id: int, incarnation: int,
                  round_deadline_s: float = ROUND_DEADLINE_S, join_wait_s: float = JOIN_WAIT_S,
@@ -232,33 +231,28 @@ class QuorumClient:
         self.round_deadline_s = round_deadline_s
         self.join_wait_s = join_wait_s
         self.last_epoch = 0
-        self._kept: Decision | None = None  # the decision that answered the last vote
         self.conn = transport.connect(addr, wire.HELLO_QUORUM,
                                       (replica_id, 0, incarnation, 0),
                                       deadline_s=connect_deadline_s)
 
     def exchange(self, next_step: int, deadline_s: float | None = None) -> Decision:
-        """The decision for this replica's next step: the one the last vote
-        brought, else the answer to a report of next_step."""
-        if self._kept is not None:
-            decision, self._kept = self._kept, None
-            return decision
+        """Report next_step and return the decision that answers it."""
         self.conn.send_frame(wire.QUORUM_REPORT, next_step, self.last_epoch,
                              wire.encode_report(self.last_epoch, next_step,
                                                 self.replica_id, self.incarnation))
         return self._next_decision(deadline_s)
 
-    def vote(self, decision: Decision, ok: bool, cursor: int) -> bool:
-        """Vote on decision's step and return its outcome, True to commit,
-        which the next decision carries; that decision is kept for exchange."""
+    def vote(self, decision: Decision, ok: bool, cursor: int) -> Decision:
+        """Vote on decision's step and return the next decision, which
+        carries the vote's outcome (True to commit)."""
         self.conn.send_frame(wire.QUORUM_VOTE, decision.target_step, decision.epoch,
                              wire.encode_vote(decision.epoch, decision.target_step,
                                               self.replica_id, self.incarnation, ok, cursor))
-        self._kept = self._next_decision()
-        if self._kept.epoch != decision.epoch + 1:
+        nxt = self._next_decision()
+        if nxt.epoch != decision.epoch + 1:
             raise Fatal(PROTOCOL_VIOLATION, f"the vote on epoch {decision.epoch} was "
-                                            f"answered by epoch {self._kept.epoch}")
-        return self._kept.outcome is True
+                                            f"answered by epoch {nxt.epoch}")
+        return nxt
 
     def _next_decision(self, deadline_s: float | None = None) -> Decision:
         """Wait for the coordinator's next decision; none by the deadline is

@@ -3,18 +3,21 @@
 A replica hosts ranks_per_replica worker threads in one process, which holds
 the replica's one copy of its parameters and momentum, and the float64 copy
 of the parameters that forward passes read; each rank updates and serves
-its contiguous shard of them in place. Per iteration the leader (rank
-0) trades a readiness report for a group decision, then every rank walks the
-same sequence of intra-replica sync points so the threads cannot deadlock:
+its contiguous shard of them in place. Each iteration starts with its
+decision in hand and ends by getting the next one: the leader (rank 0)
+votes on the step, or reports the step it holds where it has no vote, and
+hands the decision that answers to every rank. Every rank walks the same
+sequence of intra-replica sync points so the threads cannot deadlock:
 
-    decision broadcast -> (on a ring rebuild) link-status exchange ->
-    compute and reduce-scatter (healthy only) -> reduce status exchange ->
-    outcome broadcast -> (on commit) update barrier
+    (on a ring rebuild) link-status exchange -> compute and reduce-scatter
+    (healthy only) -> reduce status exchange -> next decision broadcast ->
+    (on commit) update barrier
 
 Each sync point is one wait (see IntraGroup). A steady healthy step costs
-every rank five waits and a ring rebuild one more; a lagging step skips the
-reduce-scatter, and the update barrier too unless it installs. The waits
-behind sibling compute are bounded, so a stuck rank takes its replica
+every rank four waits and a ring rebuild one more; a lagging step skips the
+reduce-scatter, and the update barrier too unless it installs. The first
+decision's broadcast, before the first iteration, is the start-up sync. The
+waits behind sibling compute are bounded, so a stuck rank takes its replica
 down within about chunk_s instead of holding the group until the watchdog.
 
 Healthy replicas compute gradients from their own batch cursor, reduce them
@@ -54,6 +57,11 @@ import numpy as np
 
 from ftdp import checkpoint, ftar, model, transport
 from ftdp.errors import (
+    EXIT_CONFIG,
+    EXIT_FATAL,
+    EXIT_INVARIANT,
+    EXIT_KILLED,
+    EXIT_OK,
     PEER_DOWN,
     TIMEOUT,
     ConfigError,
@@ -66,12 +74,6 @@ from ftdp.quorum import Decision, QuorumClient
 from ftdp.scenario import RETRY_BUDGET, ScenarioConfig
 
 log = logging.getLogger("ftdp.replica")
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_INVARIANT = 3
-EXIT_FATAL = 4
-EXIT_KILLED = 9  # scripted process death
 
 
 class _Halt(Exception):
@@ -201,9 +203,9 @@ class IntraGroup:
     compute skew the ring already grants a peer, and the link-status
     exchange connect_s + chunk_s, since a sibling may still be rebuilding
     its ring. The other waits sit behind a call that has its own deadline
-    (the decision and outcome broadcasts, behind the leader's quorum
-    calls; the status exchange, behind the all-reduce or the fetch) or
-    behind the disk (the checkpoint barrier). For them, and for a replica
+    (the one decision broadcast a step, behind the leader's quorum call;
+    the status exchange, behind the all-reduce or the fetch) or behind the
+    disk (the checkpoint barrier). For them, and for a replica
     of one rank, which never waits here, the watchdog is the only guard.
     """
 
@@ -314,20 +316,21 @@ class ControlPlane:
     def reconfig(self, decision: Decision) -> bool:
         return True
 
-    def round(self, decision: Decision, ok: bool, cursor: int = 0) -> bool:
-        """Vote on decision's step and return its outcome: True to commit.
+    def round(self, decision: Decision, next_step: int, ok: bool = False,
+              cursor: int = 0) -> Decision:
+        """Vote on decision's step and return the next decision, whose
+        outcome is True if the step commits.
 
         A healthy member votes its collective's success and its cursor after
         the step; a lagging one votes its install status, which decides
-        nothing. The vote stands for the next report, and the decision that
-        answers it is kept for the next exchange. A replica outside the
+        nothing. The vote stands for the next report. A replica outside the
         decision, or in one with no healthy member, has no vote, and neither
-        has a solo member that failed: each reports at its next exchange.
+        has a solo member that failed: each reports next_step, the step it
+        holds, instead.
         """
-        if self.client.replica_id not in decision.members or not decision.healthy:
-            return False
-        if len(decision.members) == 1 and not ok:
-            return False
+        if (self.client.replica_id not in decision.members or not decision.healthy
+                or len(decision.members) == 1 and not ok):
+            return self.client.exchange(next_step)
         return self.client.vote(decision, ok, cursor)
 
 
@@ -432,7 +435,10 @@ class _RankWorker:
         for i, f in enumerate(rt.scripted):
             if i in rt.fired or decision.target_step != f.at_step:
                 continue
-            if f.kind == "kill_replica":
+            # The leader kills: it writes the replica's last records of a
+            # step (state hash, manifest, metrics row), so the step before
+            # the kill is on disk whole.
+            if f.kind == "kill_replica" and self.rank == 0:
                 rt.fired.add(i)
                 log.info("replica %d: scripted death at step %d", rt.rid, f.at_step)
                 rt.mortality.die(EXIT_KILLED)
@@ -447,35 +453,33 @@ class _RankWorker:
                     pass
                 raise _Halt()
 
-    def iterate(self) -> bool:
-        """One decision epoch. Returns False once the run is complete."""
+    def share(self, decision: Decision | None) -> Decision:
+        """Hand the leader's decision to every rank, the leader first moving
+        the fault plan's clock to it."""
+        if self.rank == 0:
+            self.rt.plan.observe(decision.target_step, decision.epoch)
+        return self.rt.intra.broadcast(self.rank, decision)
+
+    def iterate(self, decision: Decision) -> Decision | None:
+        """One decision epoch: run decision's step and return the decision
+        that follows it, or None once the run is past its last step."""
         rt = self.rt
         timeouts = rt.cfg.timeouts
         self.mark()
         t_start = time.monotonic()
-        stall = 0.0
-
-        if self.rank == 0:
-            t0 = time.monotonic()
-            rt.decision = rt.client.exchange(rt.step + 1)
-            stall += time.monotonic() - t0
-            rt.plan.observe(rt.decision.target_step, rt.decision.epoch)
-        decision = rt.intra.broadcast(self.rank, rt.decision)
         role = decision.role_of(rt.rid)
 
-        if role != "unassigned":
-            self.maybe_scripted_fault(decision)
-        elif decision.generation > self.ring.generation:
+        if role == "unassigned":
             # Parked this round (e.g. gated rejoiner): drop stale links and
-            # poll again. No further sync points, uniformly across ranks.
-            self.ring.close_links()
-            return True
-        else:
-            return True
-
+            # report again. The next decision's broadcast is the one sync
+            # point, uniformly across ranks.
+            if decision.generation > self.ring.generation:
+                self.ring.close_links()
+            return self.share(rt.ctrl.round(decision, rt.step + 1) if self.rank == 0 else None)
+        self.maybe_scripted_fault(decision)
         target = decision.target_step
         if target > rt.cfg.total_steps:
-            return False
+            return None
 
         # Phase 1: make the data plane match the decision. Only a rebuild can
         # fail, so only a rebuild is followed by a link-status exchange. Every
@@ -527,16 +531,19 @@ class _RankWorker:
         vote = all(s[0] for s in statuses)
         can_install = all(s[1] for s in statuses)
 
-        # Phase 4: the leader's commit vote, outcome fanned back out.
+        # Phase 4: the leader's commit vote. The decision that answers it
+        # carries the outcome, and goes out to every rank.
         self.mark()
+        nxt, stall = None, 0.0
         if self.rank == 0:
             t0 = time.monotonic()
             if role == "healthy":
-                rt.outcome = rt.ctrl.round(decision, vote, rt.cursor + rt.R)
+                nxt = rt.ctrl.round(decision, rt.step + 1, vote, rt.cursor + rt.R)
             else:
-                rt.outcome = rt.ctrl.round(decision, can_install)
-            stall += time.monotonic() - t0
-        committed = rt.intra.broadcast(self.rank, rt.outcome)
+                nxt = rt.ctrl.round(decision, rt.step + 1, can_install)
+            stall = time.monotonic() - t0
+        nxt = self.share(nxt)
+        committed = nxt.outcome is True
 
         if self.rank == 0:
             if committed or target != rt.retry_target:
@@ -594,15 +601,16 @@ class _RankWorker:
         if self.rank == 0:
             rt.record_metrics(decision, role, committed, self.loss,
                               (time.monotonic() - t_start) * 1e3, stall * 1e3)
-        # Always come back for one more round after the last commit: the
-        # leader reports total+1, so the coordinator's frontier outlives this
-        # process and a straggler can never be handed the final step again.
-        # Everyone then exits on the target-past-the-end decision above.
-        return True
+        # The last step's vote is answered by the decision past the end, so
+        # the coordinator's frontier outlives this process and a straggler
+        # can never be handed the final step again. Everyone exits on it in
+        # the next iteration.
+        return nxt
 
     def run(self) -> None:
         rt = self.rt
         try:
+            decision = None
             if self.rank == 0:
                 rt.client = QuorumClient(
                     rt.coord_addr, rt.rid, rt.incarnation,
@@ -611,9 +619,11 @@ class _RankWorker:
                     connect_deadline_s=rt.cfg.timeouts.connect_s * 4)
                 rt.mortality.register_closer(rt.client.close)
                 rt.ctrl = ControlPlane(rt.client)
-            rt.intra.barrier(self.rank)  # all ranks up before reporting
-            while self.iterate():
-                pass
+                decision = rt.client.exchange(rt.step + 1)
+            # The first decision's broadcast also holds every rank until all are up.
+            decision = self.share(decision)
+            while decision is not None:
+                decision = self.iterate(decision)
             rt.completed = True
         except _Halt:
             pass
@@ -705,8 +715,6 @@ class ReplicaRuntime:
                 self.cursor = cursor_
 
         self.progress = [time.monotonic()] * self.R
-        self.decision: Decision | None = None
-        self.outcome = False
         self.retry_target = -1
         self.retry_count = 0
         self.completed = False

@@ -538,20 +538,17 @@ class ConnectionRouter(SelectorService):
 
     The loop accepts and reads each hello without blocking (read_hello),
     closing a dialer with no whole hello in by DEFAULT_TIMEOUT_S. Ring
-    links are parked until take() claims one, which transfers ownership. Given stores, the replica's SnapshotStore of each
-    rank, the loop serves fetches itself: it reads the request, then writes
-    the hello rank's shard as the socket drains, each under a fresh
-    DEFAULT_TIMEOUT_S deadline. Without stores it parks fetch hellos too. Any other hello, a
-    fetch for a rank it does not hold, or a request for another rank than
-    the hello's is closed at once.
+    links are parked until take() claims one, which transfers ownership.
+    From stores, the replica's SnapshotStore of each rank, the loop serves
+    fetches itself: it reads the request, then writes the hello rank's
+    shard as the socket drains, each under a fresh DEFAULT_TIMEOUT_S
+    deadline. Any other hello, a fetch for a rank it does not hold, or a
+    request for another rank than the hello's is closed at once.
     """
 
-    def __init__(self, listener: Listener, stores: list | None = None):
+    def __init__(self, listener: Listener, stores: list | tuple = ()):
         super().__init__(listener, "io")
         self.stores = stores
-        self._parked = {wire.HELLO_RING}
-        if stores is None:
-            self._parked.add(wire.HELLO_FETCH)
         self._buckets: dict[int, list[tuple[Hello, Connection]]] = {}
         self._cv = threading.Condition()
 
@@ -575,7 +572,7 @@ class ConnectionRouter(SelectorService):
                 if p.hello is None:
                     return
                 p.deadline = time.monotonic() + DEFAULT_TIMEOUT_S
-                if p.hello.purpose in self._parked:
+                if p.hello.purpose == wire.HELLO_RING:
                     self._sel.unregister(conn.sock)
                     with self._cv:
                         self._buckets.setdefault(conn.purpose, []).append((p.hello, conn))

@@ -28,19 +28,6 @@ FETCH_STATE_REQ = 0x30
 FETCH_STATE_RESP = 0x31
 HEARTBEAT = 0x40
 
-KNOWN_TAGS = frozenset(
-    {
-        CHUNK_DATA,
-        CHUNK_ACK,
-        QUORUM_REPORT,
-        QUORUM_DECISION,
-        QUORUM_VOTE,
-        FETCH_STATE_REQ,
-        FETCH_STATE_RESP,
-        HEARTBEAT,
-    }
-)
-
 TAG_NAMES = {
     CHUNK_DATA: "CHUNK_DATA",
     CHUNK_ACK: "CHUNK_ACK",
@@ -51,6 +38,7 @@ TAG_NAMES = {
     FETCH_STATE_RESP: "FETCH_STATE_RESP",
     HEARTBEAT: "HEARTBEAT",
 }
+KNOWN_TAGS = frozenset(TAG_NAMES)
 
 _HEADER = struct.Struct("<BQQ")  # msg_type, step, seq
 _LEN = struct.Struct("<I")

@@ -15,8 +15,8 @@ import os
 import sys
 
 from ftdp import transport
-from ftdp.errors import ConfigError
-from ftdp.replica import EXIT_CONFIG, FilePortBook, ReplicaRuntime
+from ftdp.errors import EXIT_CONFIG, ConfigError
+from ftdp.replica import FilePortBook, ReplicaRuntime
 from ftdp.scenario import load_scenario
 
 PORTS_FILE = "ports.txt"

@@ -368,12 +368,14 @@ def test_fetch_rejects_oversized_response_at_once():
     """A donor whose response claims more than the shard asked for is Fatal
     as soon as the length prefix arrives, not after the fetch deadline."""
     listener = transport.Listener()
-    router = transport.ConnectionRouter(listener).start()
     addr = transport.PeerAddress(0, 0, "127.0.0.1", listener.port)
+    accepted = []
 
     def rogue_donor():
-        _hello, conn = router.take(wire.HELLO_FETCH, timeout=5.0)
-        conn.recv_frame(timeout=5.0)
+        conn = transport.Connection(listener.sock.accept()[0])
+        accepted.append(conn)
+        conn.recv_frame(timeout=5.0)  # the hello
+        conn.recv_frame(timeout=5.0)  # the request
         conn.sock.sendall(struct.pack("<I", 512 * 1024 * 1024))
 
     donor = threading.Thread(target=rogue_donor, daemon=True)
@@ -387,7 +389,9 @@ def test_fetch_rejects_oversized_response_at_once():
         assert time.monotonic() - t0 < 2.0
     finally:
         donor.join(timeout=5.0)
-        router.stop()
+        for conn in accepted:
+            conn.close()
+        listener.close()
 
 
 def test_fetch_server_drops_oversized_request_at_once():

@@ -130,7 +130,7 @@ def _spawned_env(monkeypatch, tmp_path):
             seen.update(kwargs["env"])
 
     monkeypatch.setattr(harness.subprocess, "Popen", FakePopen)
-    harness._spawn_worker("scenario.json", None, 0, 0, str(tmp_path), 1, None,
+    harness._spawn_worker("scenario.json", 0, 0, str(tmp_path), 1, None,
                           None, "warning")
     return seen
 

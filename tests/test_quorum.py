@@ -390,6 +390,54 @@ def test_client_gives_up_on_silent_coordinator():
         listener.close()
 
 
+def vote_answered_by(msg_type, payload):
+    """Replica 0 votes on epoch 4 against a bare listener that plays the
+    coordinator: it reads the hello and the vote, then answers with one
+    frame. Returns what the vote returned or raised, and the tag it sent."""
+    listener = transport.Listener()
+    played = {}
+
+    def coordinator():
+        conn = played["conn"] = transport.Connection(listener.sock.accept()[0])
+        conn.recv_frame(timeout=5.0)  # the hello
+        played["tag"] = conn.recv_frame(timeout=5.0).msg_type
+        conn.send_frame(msg_type, 7, 5, payload)
+
+    th = threading.Thread(target=coordinator, daemon=True)
+    th.start()
+    client = QuorumClient(transport.PeerAddress(0, 0, "127.0.0.1", listener.port),
+                          replica_id=0, incarnation=1)
+    try:
+        out = client.vote(Decision(4, 7, 1, (0,), {}), True, 2)
+    except errors.FtdpError as exc:
+        out = exc
+    finally:
+        client.close()
+        th.join(timeout=5.0)
+        listener.close()
+    assert not th.is_alive(), "the coordinator's answer hung"
+    played["conn"].close()
+    return out, played["tag"]
+
+
+@pytest.mark.parametrize("epoch", [3, 4, 5, 6])
+def test_vote_is_answered_by_the_next_epoch_only(epoch):
+    answer = Decision(epoch, 8, 1, (0,), {}, True)
+    out, tag = vote_answered_by(wire.QUORUM_DECISION, answer.encode())
+    assert tag == wire.QUORUM_VOTE
+    if epoch == 5:
+        assert out == answer
+    else:
+        assert isinstance(out, errors.Fatal) and out.reason == errors.PROTOCOL_VIOLATION
+
+
+def test_vote_answered_by_anything_but_a_decision_is_fatal():
+    """Even a frame that holds the right decision, under another tag."""
+    answer = Decision(5, 8, 1, (0,), {}, True)
+    out, _tag = vote_answered_by(wire.QUORUM_REPORT, answer.encode())
+    assert isinstance(out, errors.Fatal) and out.reason == errors.PROTOCOL_VIOLATION
+
+
 # ------------------------------------------------------------- commit vote
 
 
@@ -420,8 +468,8 @@ class Voters:
             time.sleep((after or {}).get(rid, 0.0))
             t0 = time.monotonic()
             try:
-                outcomes[rid] = self.clients[rid].vote(self.decisions[rid], ok, cursor)
-                self.decisions[rid] = self.clients[rid].exchange(0)  # the kept decision
+                self.decisions[rid] = self.clients[rid].vote(self.decisions[rid], ok, cursor)
+                outcomes[rid] = self.decisions[rid].outcome is True
             except errors.FtdpError as exc:
                 outcomes[rid] = exc
             seconds[rid] = time.monotonic() - t0
@@ -545,20 +593,34 @@ def test_parked_report_starts_no_round_before_the_first_vote(voters):
         parked.close()
 
 
-def test_vote_solo_and_unassigned(voters):
+def test_vote_solo_and_unassigned(voters, monkeypatch):
+    """A solo member that failed, a replica outside the decision and a
+    member of a decision with no healthy set have no vote: each reports the
+    step it holds, and the decision that answers brings no commit."""
     v = voters(n=1)
     plane = ControlPlane(v.clients[0])
+    sent = []
+    real_send = v.clients[0].conn.send_frame
+
+    def recording_send(msg_type, *args, **kwargs):
+        sent.append(msg_type)
+        return real_send(msg_type, *args, **kwargs)
+
+    monkeypatch.setattr(v.clients[0].conn, "send_frame", recording_send)
     solo = v.decisions[0]
     assert solo.members == (0,)
-    assert plane.round(solo, True, 2)
+    d = plane.round(solo, 1, True, 2)
+    assert d.outcome is True and d.target_step == 2
     assert checkpoint.parse_ledger(v.ledger) == [(1, 0, 2)]
-    retry = v.clients[0].exchange(2)
-    t0 = time.monotonic()
-    assert not plane.round(retry, False, 4)
-    assert not plane.round(Decision(retry.epoch, 2, 9, (1, 2), {}), True, 4)
-    assert not plane.round(Decision(retry.epoch, 2, 9, (), {0: 1}), True, 4)
-    assert time.monotonic() - t0 < 0.5  # none of the three waits on the coordinator
-    assert plane.round(v.clients[0].exchange(2), True, 4)
+    outside = Decision(d.epoch, 2, 9, (1, 2), {})
+    leaderless = Decision(d.epoch, 2, 9, (), {0: 1})
+    for held, ok in ((d, False), (outside, True), (leaderless, True)):
+        t0 = time.monotonic()
+        d = plane.round(held, 2, ok, 4)
+        assert d.outcome is not True and d.target_step == 2
+        assert time.monotonic() - t0 < 0.5  # the only connected replica reported
+    assert sent == [wire.QUORUM_VOTE] + [wire.QUORUM_REPORT] * 3
+    assert plane.round(d, 2, True, 4).outcome is True
     assert checkpoint.parse_ledger(v.ledger) == [(1, 0, 2), (2, 0, 4)]
 
 

@@ -476,13 +476,14 @@ def test_forward_passes_read_current_float64_weights(tmp_path, monkeypatch):
 
 def test_intra_waits_per_rank_per_step(tmp_path, monkeypatch):
     """The wait budget of a step: counts every rank's IntraGroup waits per
-    decision epoch of a 2x2 cluster. A steady healthy step costs 5 waits (a
-    decision, a reduce-scatter, a status exchange, an outcome and the update
-    barrier), and a ring rebuild adds its link-status exchange. A lagging
-    step costs 3, plus the update barrier if it installs its pulled state
-    and the link-status exchange on a rebuild. Replica 1 is killed at step 3
-    and rejoins at step 6. Its first pull fails, so it lags on the rebuild
-    step and installs on a later, steady step, for 4 waits each."""
+    decision epoch of a 2x2 cluster. A steady healthy step costs 4 waits (a
+    reduce-scatter, a status exchange, the broadcast of the next decision,
+    which carries the outcome, and the update barrier), and a ring rebuild
+    adds its link-status exchange. A lagging step costs 2, plus the update
+    barrier if it installs its pulled state and the link-status exchange on
+    a rebuild. Replica 1 is killed at step 3 and rejoins at step 6. Its
+    first pull fails, so it lags on the rebuild step and installs on a
+    later, steady step, for 3 waits each."""
     local = threading.local()
     records = []  # (replica, rank, role, committed, rebuilt, installed, waits)
     real_sync = IntraGroup._sync
@@ -497,19 +498,19 @@ def test_intra_waits_per_rank_per_step(tmp_path, monkeypatch):
 
     def recording_broadcast(self, rank, value=None):
         out = real_broadcast(self, rank, value)
-        local.seen.append(out)
+        if hasattr(local, "seen"):  # the start-up broadcast precedes every iteration
+            local.seen.append(out)
         return out
 
-    def counted_iterate(self):
+    def counted_iterate(self, decision):
         local.waits, local.seen = 0, []
         gen = self.ring.generation
-        more = real_iterate(self)
-        if len(local.seen) == 2:  # the epoch reached its outcome
-            decision, committed = local.seen
+        nxt = real_iterate(self, decision)
+        if local.seen:  # the epoch reached its outcome
             records.append((self.rt.rid, self.rank, decision.role_of(self.rt.rid),
-                            committed, self.ring.generation > gen,
+                            local.seen[0].outcome is True, self.ring.generation > gen,
                             self.rt.step == decision.target_step, local.waits))
-        return more
+        return nxt
 
     def first_pull_fails(addr, step, rank, *args, **kwargs):
         if rank not in failed:
@@ -533,14 +534,14 @@ def test_intra_waits_per_rank_per_step(tmp_path, monkeypatch):
         return {w for _rid, _k, ro, c, rb, inst, w in records
                 if c and ro == role and rb == rebuilt and inst == installed}
 
-    assert waits("healthy", False) == {5}
-    assert waits("healthy", True) == {6}
-    assert waits("behind", True, installed=False) == {4}
-    assert waits("behind", False) == {4}
+    assert waits("healthy", False) == {4}
+    assert waits("healthy", True) == {5}
+    assert waits("behind", True, installed=False) == {3}
+    assert waits("behind", False) == {3}
     assert waits("behind", True) == set()  # the pull on the rebuild step failed
     # A pull that lost its race with the donor's next commit leaves a
     # steady lagging step without its update barrier.
-    assert waits("behind", False, installed=False) <= {3}
+    assert waits("behind", False, installed=False) <= {2}
 
 
 def test_control_frames_and_dials_per_step(tmp_path, monkeypatch):

@@ -160,6 +160,8 @@ def test_connect_retries_until_listener_appears():
 
 
 def test_router_routes_by_purpose_and_predicate():
+    """Ring hellos are parked for take(); a fetch hello to a router that
+    holds no stores is closed, like any hello nobody claims."""
     listener = transport.Listener()
     router = transport.ConnectionRouter(listener).start()
     addr = transport.PeerAddress(0, 0, "127.0.0.1", listener.port)
@@ -168,11 +170,14 @@ def test_router_routes_by_purpose_and_predicate():
     c3 = transport.connect(addr, wire.HELLO_RING, (3, 0, 0, 8))
     hello, conn = router.take(wire.HELLO_RING, pred=lambda h: h.aux == 8, timeout=2.0)
     assert hello.replica_id == 3
-    hello, _ = router.take(wire.HELLO_FETCH, timeout=2.0)
-    assert hello.replica_id == 2
-    hello, _ = router.take(wire.HELLO_RING, timeout=2.0)
+    hello, other = router.take(wire.HELLO_RING, timeout=2.0)
     assert hello.replica_id == 1
-    for c in (c1, c2, c3, conn):
+    with pytest.raises(Recoverable) as ei:
+        c2.recv_frame(timeout=1.0)
+    assert ei.value.reason == PEER_RESET
+    with pytest.raises(Recoverable):
+        router.take(wire.HELLO_FETCH, timeout=0.2)
+    for c in (c1, c2, c3, conn, other):
         c.close()
     router.stop()
 
